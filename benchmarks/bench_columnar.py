@@ -14,11 +14,10 @@ box relation with selective interval predicates):
   must cost < 3% over row mode: the probe is one thread-local peek plus
   one failed plan compilation per call.
 
-Arms are timed best-of-``_ROUNDS`` interleaved (the idiom of
-``bench_parallel.py``): best-of-N measures each arm's achievable floor
-rather than the average of its interruptions.  Results land in
-``BENCH_columnar.json`` (override with ``REPRO_BENCH_COLUMNAR_JSON``)
-so CI can archive them.
+Arms are timed best-of-``_ROUNDS`` interleaved: best-of-N measures each
+arm's achievable floor rather than the average of its interruptions.
+Results land in ``BENCH_columnar.json`` (override with
+``REPRO_BENCH_COLUMNAR_JSON``) so CI can archive them.
 """
 
 from __future__ import annotations

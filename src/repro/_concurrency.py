@@ -1,13 +1,11 @@
 """Shared thread-local stacks and sanitizer-aware lock factories.
 
-Four subsystems activate per-thread state the same way — a thread-local
+Three subsystems activate per-thread state the same way — a thread-local
 stack whose top governs the current evaluation: the obs registry stack
 (:mod:`repro.obs.registry`), the governor budget stack
-(:mod:`repro.governor.budget`), the execution-engine stack
-(:mod:`repro.exec.engine`), and the columnar-mode stack
-(:mod:`repro.exec.columnar`).  Until PR 9 each carried its own private
-``_ActiveStack(threading.local)`` copy; :class:`ThreadLocalStack` is the
-one shared implementation, and the ``repro devtools lint`` rule RT102
+(:mod:`repro.governor.budget`), and the columnar-mode stack
+(:mod:`repro.exec.columnar`).  :class:`ThreadLocalStack` is their one
+shared implementation, and the ``repro devtools lint`` rule RT102
 enforces the discipline every user of it must follow: a push is only
 correct when the matching pop sits in a ``finally`` block (or the
 :meth:`ThreadLocalStack.pushed` context manager is used, which brackets
@@ -60,12 +58,6 @@ class ThreadLocalStack(threading.local):
         """The active item for this thread, or ``None`` when empty."""
         items = self.items
         return items[-1] if items else None
-
-    def clear(self) -> None:
-        """Drop every activation on this thread (worker-pool plumbing: a
-        forked worker inherits the submitting thread's stack and must
-        never re-enter it)."""
-        self.items.clear()
 
     def __bool__(self) -> bool:
         return bool(self.items)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from ..constraints import Conjunction, DNFFormula, LinearConstraint, LinearExpression, solver
 from ..errors import AlgebraError, ResourceExhausted
-from ..exec import columnar, parallel_engine, run_parallel
+from ..exec import columnar
 from ..governor.budget import ProducerGuard
 from ..model.relation import ConstraintRelation
 from ..model.schema import Schema
@@ -44,8 +44,7 @@ def _select_survivor(t: HTuple, predicates: Sequence[Predicate]) -> HTuple | Non
     """One tuple's selection work: predicate evaluation, conjoining, and
     the satisfiability decision.  ``None`` means the tuple vanishes.
 
-    This is the unit of work both the serial loop and the parallel
-    morsel task run, so the two paths are the same code by construction.
+    Shared by the flat filter loop and the paged columnar scan.
     """
     atoms: list[LinearConstraint] = []
     for predicate in predicates:
@@ -65,9 +64,7 @@ def _select_survivor(t: HTuple, predicates: Sequence[Predicate]) -> HTuple | Non
     survivor = t.conjoin(atoms) if atoms else t
     # Decide satisfiability here, inside the guarded row, so the solve is
     # cancellable/absorbable; the relation constructor's own emptiness
-    # check then hits the per-formula cache.  (The cached verdict also
-    # survives pickling, so a worker-side solve is never repeated by the
-    # parent's merge.)
+    # check then hits the per-formula cache.
     if survivor.is_empty():
         return None
     return survivor
@@ -81,16 +78,13 @@ def filter_tuples(
 ) -> list[HTuple]:
     """The governed selection loop over pre-validated predicates.
 
-    Shared by :func:`select` and the heapfile sequential scan; runs as
-    the morsel task on workers (each bound to its own sub-budget through
-    the thread-local guard machinery).
+    Shared by :func:`select` and the heapfile sequential scan.
 
     With the columnar fast path on (``columnar_on``; ``None`` consults
-    the thread-local mode — workers receive the parent's flag in the
-    task payload instead, since thread-locals don't cross pools) a
-    vectorized interval filter masks out provably doomed tuples first and
-    only candidates run the exact per-tuple work; results are
-    bit-identical (see :mod:`repro.exec.columnar`).
+    the thread-local mode) a vectorized interval filter masks out
+    provably doomed tuples first and only candidates run the exact
+    per-tuple work; results are bit-identical (see
+    :mod:`repro.exec.columnar`).
     """
     if columnar_on is None:
         columnar_on = columnar.columnar_active()
@@ -141,32 +135,6 @@ def _columnar_mask(
     return mask
 
 
-def _filter_task(
-    payload: tuple[tuple[Predicate, ...], bool], morsel: tuple[HTuple, ...]
-) -> list[HTuple]:
-    """Worker-side morsel task for selection/refinement filtering; the
-    payload carries the parent's columnar flag across the pool."""
-    predicates, columnar_on = payload
-    return filter_tuples(morsel, predicates, columnar_on=columnar_on)
-
-
-def filter_tuples_parallel(
-    tuples: Sequence[HTuple],
-    predicates: Sequence[Predicate],
-    label: str = "select",
-    block_cache: dict | None = None,
-) -> list[HTuple]:
-    """Morsel-parallel :func:`filter_tuples` when an engine is active,
-    the serial loop otherwise.  Results are bit-identical either way."""
-    engine = parallel_engine(len(tuples))
-    columnar_on = columnar.columnar_active()
-    if engine is None:
-        return filter_tuples(tuples, predicates, columnar_on, block_cache)
-    return run_parallel(
-        engine, _filter_task, (tuple(predicates), columnar_on), tuples, label=label
-    )
-
-
 def filter_pages_columnar(
     pages: Sequence[Sequence[HTuple]],
     predicates: Sequence[Predicate],
@@ -176,15 +144,14 @@ def filter_pages_columnar(
     across all pages (so governor behaviour matches the flat loop over
     the concatenated tuples exactly) with one summary block per page,
     memoised on ``heap`` so repeated scans pay the float export once per
-    page.  Returns ``None`` to signal bypass — columnar off, a parallel
-    engine active (the flat morsel path composes with workers instead),
-    too few tuples, or no vectorizable predicate bounds — in which case
-    the caller runs :func:`filter_tuples_parallel` over the flat list.
+    page.  Returns ``None`` to signal bypass — columnar off, too few
+    tuples, or no vectorizable predicate bounds — in which case the
+    caller runs :func:`filter_tuples` over the flat list.
     """
     if not columnar.columnar_active() or not predicates:
         return None
     total = sum(len(page) for page in pages)
-    if total < columnar.MIN_BATCH or parallel_engine(total) is not None:
+    if total < columnar.MIN_BATCH:
         return None
     first = next((page[0] for page in pages if page), None)
     if first is None:
@@ -231,12 +198,9 @@ def select(relation: ConstraintRelation, predicates: Sequence[Predicate]) -> Con
     formula; atoms over rational relational attributes have the tuple's
     values substituted first (a NULL value fails the tuple — narrow
     semantics).  Tuples whose augmented formula is unsatisfiable vanish.
-
-    The per-tuple filter+solve work is morsel-parallel when the session
-    runs with ``workers > 1`` (see :mod:`repro.exec`).
     """
     validate_predicates(relation.schema, list(predicates))
-    result = filter_tuples_parallel(
+    result = filter_tuples(
         relation.tuples, predicates, block_cache=relation.columnar_cache()
     )
     return ConstraintRelation(relation.schema, result)

@@ -294,8 +294,7 @@ class SeqScan(PlanNode):
     When the context registers a :class:`~repro.storage.HeapFile` for the
     relation, pages are read through it (charging one IO per page); the
     per-tuple predicate filtering then runs through the same governed
-    filter loop as :class:`Select` — morsel-parallel when the session has
-    ``workers > 1`` — so ``SeqScan(name, preds)`` always equals
+    filter loop as :class:`Select`, so ``SeqScan(name, preds)`` always equals
     ``Select(Scan(name), preds)``.  Without a registered heap file it
     degrades to an in-memory scan (no page IO, same result).
     """
@@ -321,14 +320,12 @@ class SeqScan(PlanNode):
             if pages is not None:
                 # Columnar paged path: per-page summary blocks cached on
                 # the heap file; bypasses (returns None) when columnar is
-                # off or a parallel engine should take the flat path.
+                # off or cannot reject anything.
                 result_tuples = operators.filter_pages_columnar(
                     pages, self.predicates, heap
                 )
             if result_tuples is None:
-                result_tuples = operators.filter_tuples_parallel(
-                    tuples, self.predicates, label="seq_scan"
-                )
+                result_tuples = operators.filter_tuples(tuples, self.predicates)
         else:
             result_tuples = list(tuples)
         result = ConstraintRelation(relation.schema, result_tuples)

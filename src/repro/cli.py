@@ -29,6 +29,7 @@ from .errors import (
     StaticAnalysisError,
     StorageError,
 )
+from .exec import EXEC_MODES
 from .governor import Budget
 from .model import Database
 from .query import QuerySession
@@ -74,7 +75,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         use_optimizer=not args.no_optimizer,
         budget=_budget_from_args(args),
         analysis=args.analysis,
-        workers=args.workers,
         exec_mode=args.exec_mode,
     )
     with session:
@@ -156,7 +156,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_queue=args.max_queue,
-        session_workers=args.session_workers,
         exec_mode=args.exec_mode,
         analysis=args.analysis,
         use_optimizer=not args.no_optimizer,
@@ -288,7 +287,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import fig4, fig5
 
     module = fig4 if args.figure == "fig4" else fig5
-    kwargs: dict[str, object] = {"workers": args.workers}
+    kwargs: dict[str, object] = {}
     if args.data_size is not None:
         kwargs["data_size"] = args.data_size
     if args.query_count is not None:
@@ -302,7 +301,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 {
                     "experiment_id": result.experiment_id,
                     "title": result.title,
-                    "workers": args.workers,
                     "elapsed_seconds": elapsed,
                     "series": [
                         {
@@ -322,7 +320,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     else:
         print(result.format_table())
-        print(f"\n(elapsed {elapsed:.2f}s, workers={args.workers})", file=sys.stderr)
+        print(f"\n(elapsed {elapsed:.2f}s)", file=sys.stderr)
     return 0
 
 
@@ -422,22 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         "statements with error-level diagnostics",
     )
     query.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate statements with N parallel workers (morsel-driven; "
-        "results are identical to serial — see docs/PARALLELISM.md); "
-        "defaults to $REPRO_WORKERS or 1",
-    )
-    query.add_argument(
         "--exec-mode",
-        choices=("auto", "process", "thread", "row", "columnar"),
+        choices=EXEC_MODES,
         default=None,
         help="execution flavour: 'columnar' turns on the vectorized fast "
         "path (bit-identical results — see docs/COLUMNAR.md), 'row' forces "
-        "it off, 'process'/'thread' pick the worker-pool kind; defaults to "
-        "$REPRO_EXEC_MODE or 'auto'",
+        "it off; defaults to $REPRO_EXEC_MODE or 'auto'",
     )
     _add_budget_arguments(query, "per-statement budget (see docs/QUERY_LANGUAGE.md)")
     query.set_defaults(handler=_cmd_query)
@@ -469,16 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         "with a 429-style 'overloaded' reply",
     )
     serve.add_argument(
-        "--session-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="morsel-parallel workers per tenant session "
-        "(the query-side --workers; see docs/PARALLELISM.md)",
-    )
-    serve.add_argument(
         "--exec-mode",
-        choices=("auto", "process", "thread", "row", "columnar"),
+        choices=EXEC_MODES,
         default=None,
         help="execution flavour for every tenant session ('columnar' = the "
         "vectorized fast path; see docs/COLUMNAR.md); defaults to "
@@ -575,13 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run a paper experiment (figure 4 or 5)"
     )
     experiment.add_argument("figure", choices=("fig4", "fig5"), help="which figure to run")
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="dispatch the four (variant × strategy) series to N workers",
-    )
     experiment.add_argument(
         "--data-size", type=int, default=None, metavar="N", help="number of data boxes"
     )

@@ -19,12 +19,10 @@ Both tables are *pure accelerators*: clearing them at any point is always
 safe (atom equality remains value-based; cached answers are pure facts
 about the keyed formula).
 
-Both are thread-safe: the parallel execution engine's thread-pool
-fallback shares the process-wide solver caches across worker threads, so
-lookups, insertions, and the hit/miss/eviction accounting are serialized
-under a per-structure lock.  (The process-pool path needs no locking —
-each worker process has its own copy-on-write caches — but the lock is
-uncontended there and costs a fraction of a single solver call.)
+Both are thread-safe: the query server runs tenant sessions on a thread
+pool that shares the process-wide solver caches, so lookups, insertions,
+and the hit/miss/eviction accounting are serialized under a
+per-structure lock.
 """
 
 from __future__ import annotations

@@ -39,11 +39,10 @@ the gap to ``solver.requests`` is the work the fast paths saved.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..governor.budget import checkpoint as budget_checkpoint
 from ..rational import float_down, float_up
@@ -76,16 +75,8 @@ _SORT_KEY = attrgetter("sort_key")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for the layered front-end.
+    """Tuning knobs for the layered front-end."""
 
-    ``enabled=False`` bypasses every layer and routes straight to
-    Fourier–Motzkin — the pre-fast-path behaviour, kept for A/B
-    verification and benchmarking.
-    """
-
-    enabled: bool = True
-    use_intervals: bool = True
-    use_cache: bool = True
     cache_size: int = 8192
     #: Route to simplex when the system mentions at least this many variables…
     simplex_variable_threshold: int = 5
@@ -110,18 +101,6 @@ def configure(**changes) -> SolverConfig:
         _CACHE = LRUCache(new.cache_size)
     _config = new
     return new
-
-
-@contextmanager
-def fast_path(enabled: bool) -> Iterator[SolverConfig]:
-    """Temporarily enable/disable the layered fast paths (A/B testing)."""
-    global _config
-    previous = _config
-    _config = replace(_config, enabled=enabled)
-    try:
-        yield _config
-    finally:
-        _config = previous
 
 
 def clear_caches() -> None:
@@ -273,8 +252,6 @@ def join_prunable(left: IntervalSummary, right: IntervalSummary) -> bool:
     unsatisfiable from the two sides' interval summaries, in which case
     the pair can be rejected without building the combined conjunction.
     Records the prune so ``EXPLAIN ANALYZE`` shows join-level savings."""
-    if not (_config.enabled and _config.use_intervals):
-        return False
     if summaries_disjoint(left, right):
         record(SOLVER_JOIN_PRUNES)
         record(SOLVER_INTERVAL_PRUNES)
@@ -318,7 +295,7 @@ def is_satisfiable(
     ``summary`` may be a precomputed :class:`IntervalSummary` or a
     zero-argument callable producing one (so callers with a cached
     summary — :class:`~repro.constraints.Conjunction` — avoid the linear
-    pass, and the pass is skipped entirely when intervals are disabled).
+    pass).
     """
     record(SOLVER_REQUESTS)
     # The finest-grained cooperative cancellation point: every join pair,
@@ -328,21 +305,16 @@ def is_satisfiable(
     atoms = tuple(atoms)
     if not atoms:
         return True
-    if not _config.enabled:
-        return elimination.is_satisfiable(atoms)
-    if _config.use_intervals:
-        if summary is None:
-            summary = summarise(atoms)
-        elif callable(summary):
-            summary = summary()
-        if summary.inconsistent:
-            record(SOLVER_INTERVAL_PRUNES)
-            return False
-        if summary.pure_box:
-            record(SOLVER_BOX_DECIDED)
-            return True
-    if not _config.use_cache:
-        return _full_check(atoms)
+    if summary is None:
+        summary = summarise(atoms)
+    elif callable(summary):
+        summary = summary()
+    if summary.inconsistent:
+        record(SOLVER_INTERVAL_PRUNES)
+        return False
+    if summary.pure_box:
+        record(SOLVER_BOX_DECIDED)
+        return True
     key = cache_key(atoms)
     cached = _CACHE.get(key)
     if cached is not None:

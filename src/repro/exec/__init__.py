@@ -1,12 +1,8 @@
-"""The morsel-driven parallel execution engine.
+"""Execution-mode plumbing: the columnar/vectorized fast path.
 
-Partitions operator input into fixed-size morsels, dispatches the
-CPU-bound filter+solve work to a worker pool (processes by default,
-threads as a fallback for unpicklable contexts), and merges results in
-morsel order so parallel evaluation is bit-identical to serial.  See
-:mod:`repro.exec.engine` for the design contract (determinism, budget
-reconciliation, metrics merge) and ``docs/PARALLELISM.md`` for the
-operator-facing guide.
+Statements evaluate on one serial path; ``exec_mode="columnar"`` turns
+on a vectorized interval pre-filter whose results are bit-identical to
+the row loop (see :mod:`repro.exec.columnar` and ``docs/COLUMNAR.md``).
 """
 
 from .columnar import (
@@ -15,47 +11,14 @@ from .columnar import (
     columnar_active,
     columnar_mode,
     default_exec_mode,
-    split_exec_mode,
+    uses_columnar,
 )
-from .engine import (
-    ExecutionConfig,
-    ExecutionEngine,
-    current_engine,
-    merge_producing_outcomes,
-    parallel_engine,
-    reconcile_consumed,
-    reset_active_engines,
-    run_parallel,
-)
-from .envelope import (
-    TaskEnvelope,
-    TaskOutcome,
-    WorkerFailure,
-    execute_envelope,
-    rebuild_exhaustion,
-)
-from .morsel import auto_morsel_size, partition
 
 __all__ = [
     "EXEC_MODES",
     "EXEC_MODE_ENV_VAR",
-    "ExecutionConfig",
-    "ExecutionEngine",
-    "TaskEnvelope",
-    "TaskOutcome",
-    "WorkerFailure",
-    "auto_morsel_size",
     "columnar_active",
     "columnar_mode",
-    "current_engine",
     "default_exec_mode",
-    "execute_envelope",
-    "merge_producing_outcomes",
-    "parallel_engine",
-    "partition",
-    "rebuild_exhaustion",
-    "reconcile_consumed",
-    "reset_active_engines",
-    "run_parallel",
-    "split_exec_mode",
+    "uses_columnar",
 ]

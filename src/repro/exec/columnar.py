@@ -3,7 +3,7 @@
 Paper §6 argues the finite representation underlying the framework need
 not be constraints — only the *interface* must be constraint-neutral.
 This module pushes that observation into the executor: instead of
-deciding satisfiability tuple-at-a-time with exact rationals, a morsel of
+deciding satisfiability tuple-at-a-time with exact rationals, a batch of
 tuples is exported once into contiguous float64 arrays (the per-variable
 interval summaries every :class:`~repro.constraints.Conjunction` already
 caches) and a whole batch of selection pre-checks runs as a handful of
@@ -21,10 +21,9 @@ proves the exact intersection empty.  The filter can only
 over-approximate (keep a doomed tuple for the exact fallback to kill),
 never under-approximate (drop a survivor).  See ``docs/COLUMNAR.md``.
 
-Activation is a thread-local stack (mirroring the engine/budget/registry
-stacks) so the mode nests and composes with ``workers=N``: the flag is
-carried to pool workers inside the task payload, and each worker morsel
-becomes one columnar batch.
+Activation is a thread-local stack (mirroring the budget/registry
+stacks) so the mode nests, and concurrent server tenants each keep
+their own setting.
 """
 
 from __future__ import annotations
@@ -49,11 +48,10 @@ if TYPE_CHECKING:
 #: the probe bypasses to the row loop.
 MIN_BATCH = 16
 
-#: Execution modes a session accepts.  ``auto``/``process``/``thread``
-#: pick the worker-pool flavour (columnar off); ``columnar`` turns this
-#: fast path on (pool flavour stays auto); ``row`` forces it off
-#: explicitly (the A/B baseline arm).
-EXEC_MODES = ("auto", "process", "thread", "row", "columnar")
+#: Execution modes a session accepts.  ``auto`` is the default row path;
+#: ``columnar`` turns this fast path on; ``row`` forces it off explicitly
+#: (the A/B baseline arm).
+EXEC_MODES = ("auto", "row", "columnar")
 
 #: Environment variable consulted by ``QuerySession(exec_mode=None)`` —
 #: lets CI flip a whole test run to columnar without touching call sites.
@@ -78,22 +76,20 @@ def default_exec_mode() -> str:
     return raw
 
 
-def split_exec_mode(mode: str) -> tuple[str, bool]:
-    """``(pool mode, columnar on?)`` for a session-level ``exec_mode``."""
+def uses_columnar(mode: str) -> bool:
+    """Whether a session-level ``exec_mode`` turns the fast path on."""
     if mode not in EXEC_MODES:
         raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {mode!r}")
-    if mode in ("process", "thread"):
-        return mode, False
-    return "auto", mode == "columnar"
+    return mode == "columnar"
 
 
-# -- activation (a thread-local stack, like engines and budgets) -------------
+# -- activation (a thread-local stack, like budgets and registries) ----------
 
 
 #: Per-thread activation stack of booleans; the *top* entry decides, so
 #: ``columnar_mode(False)`` masks an enclosing activation exactly like
 #: the old depth-reset did.  Shares :class:`ThreadLocalStack` with the
-#: engine/budget/registry stacks.
+#: budget/registry stacks.
 _STACK = ThreadLocalStack()
 
 
@@ -110,11 +106,11 @@ def columnar_active() -> bool:
     return bool(_STACK.top())
 
 
-# -- the columnar morsel format ----------------------------------------------
+# -- the columnar batch format -----------------------------------------------
 
 
 class SummaryBlock:
-    """One morsel's interval summaries as contiguous float64 columns.
+    """One batch's interval summaries as contiguous float64 columns.
 
     ``lower``/``upper`` are ``(n, d)`` arrays over ``variables`` (±∞ for
     unbounded sides, widened rounding — see the module docstring);

@@ -75,39 +75,9 @@ def run(
     query_seed: int = 5403,
     config: PageConfig | None = None,
     equal_fanout: bool = True,
-    workers: int = 1,
 ) -> ExperimentResult:
-    """Run both Figure 4 panels and return the measured series.
-
-    ``workers >= 2`` dispatches the four (variant × strategy) series to a
-    worker pool (:mod:`repro.experiments.parallel`); measurements are
-    identical to the serial run."""
+    """Run both Figure 4 panels and return the measured series."""
     config = config or PageConfig()
-    if workers >= 2:
-        from .parallel import run_parallel
-
-        return run_parallel(
-            "fig4",
-            experiment_id="figure-4",
-            title="Querying both attributes: disk accesses vs query area",
-            variant_labels={
-                "constraint": "expt 1-A (constraint attributes)",
-                "relational": "expt 1-B (relational attributes)",
-            },
-            x_label="query area",
-            notes=(
-                f"{data_size} data boxes, {query_count} rectangle queries; "
-                f"page size {config.page_size}B, fanout {config.index_fanout(2)}"
-                + ("" if equal_fanout else f" (2-D) / {config.index_fanout(1)} (1-D)")
-            ),
-            data_size=data_size,
-            query_count=query_count,
-            data_seed=data_seed,
-            query_seed=query_seed,
-            config=config,
-            equal_fanout=equal_fanout,
-            workers=workers,
-        )
     registry = MetricsRegistry()
     data = rectangles.generate_data(data_size, data_seed)
     queries = rectangles.generate_queries(query_count, query_seed)

@@ -72,39 +72,9 @@ def run(
     config: PageConfig | None = None,
     attribute: str = "x",
     equal_fanout: bool = True,
-    workers: int = 1,
 ) -> ExperimentResult:
-    """Run both Figure 5 panels and return the measured series.
-
-    ``workers >= 2`` dispatches the four (variant × strategy) series to a
-    worker pool (:mod:`repro.experiments.parallel`); measurements are
-    identical to the serial run."""
+    """Run both Figure 5 panels and return the measured series."""
     config = config or PageConfig()
-    if workers >= 2:
-        from .parallel import run_parallel
-
-        return run_parallel(
-            "fig5",
-            experiment_id="figure-5",
-            title="Querying one attribute: disk accesses vs query length",
-            variant_labels={
-                "constraint": "expt 2-A (constraint attributes)",
-                "relational": "expt 2-B (relational attributes)",
-            },
-            x_label="query length",
-            notes=(
-                f"{data_size} data boxes, {query_count} single-attribute "
-                f"({attribute}) queries; page size {config.page_size}B"
-            ),
-            data_size=data_size,
-            query_count=query_count,
-            data_seed=data_seed,
-            query_seed=query_seed,
-            config=config,
-            equal_fanout=equal_fanout,
-            attribute=attribute,
-            workers=workers,
-        )
     registry = MetricsRegistry()
     data = rectangles.generate_data(data_size, data_seed)
     queries = rectangles.generate_queries(query_count, query_seed)

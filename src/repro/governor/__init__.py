@@ -23,7 +23,6 @@ See "Resource limits & failure model" in docs/QUERY_LANGUAGE.md.
 
 from .budget import (
     Budget,
-    BudgetSlice,
     ProducerGuard,
     charge,
     charge_io,
@@ -45,7 +44,6 @@ from .faultinject import (
 
 __all__ = [
     "Budget",
-    "BudgetSlice",
     "CrashingFile",
     "FaultPlan",
     "FaultyBufferPool",

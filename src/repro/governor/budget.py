@@ -22,9 +22,9 @@ ungoverned evaluation pays near-zero overhead (the <3% target of
 
 Budgets activate like the obs registry does — a thread-local stack —
 so plain functions deep in the constraint layer need no threading of an
-explicit token (thread-local rather than process-wide so the parallel
-execution engine's thread-pool fallback can give each worker task its
-own sub-budget without cross-talk)::
+explicit token (thread-local rather than process-wide so concurrent
+server tenants, each on its own thread, never charge each other's
+budgets)::
 
     budget = Budget(deadline_seconds=0.5, solver_steps=10_000)
     with budget.activate():
@@ -42,7 +42,6 @@ solve is absorbed at the enclosing producer boundary.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 from contextlib import contextmanager
@@ -73,11 +72,6 @@ _RESOURCES: dict[str, tuple[type[ResourceExhausted], str | None]] = {
     "output_tuples": (OutputLimitExceeded, GOVERNOR_OUTPUT_TUPLES),
     "io_accesses": (IOBudgetExceeded, None),
 }
-
-#: Deadline handed to a worker slice whose parent budget already expired
-#: (partial mode only): positive so the ``Budget`` constructor accepts
-#: it, small enough that the first worker checkpoint trips immediately.
-_EXPIRED_SLICE_SECONDS = 1e-6
 
 #: Obs counters copied into exhaustion snapshots (budget-relevant subset
 #: of the registry; the full snapshot can be huge).
@@ -253,52 +247,6 @@ class Budget:
             self.truncated = True
             record(GOVERNOR_TRUNCATIONS)
 
-    def slice(self) -> "BudgetSlice":
-        """A picklable spec for a worker sub-budget.
-
-        Each worker gets the parent's *full remaining* allowance for every
-        armed resource (not an even division: a workload that fits the
-        budget serially must never spuriously exhaust in a worker that
-        happens to process most of the expensive morsels) and the
-        remaining share of the shared wall-clock deadline.  The parent
-        re-charges actual worker consumption during the post-merge
-        reconciliation, so the global limit still binds.
-
-        A parent whose deadline has (nearly) elapsed must not hand workers
-        an underflowed remaining time: in raise mode slicing raises
-        :class:`~repro.errors.DeadlineExceeded` immediately (dispatching a
-        doomed batch would only delay the error), and in partial mode the
-        parent is marked truncated and the slice carries an
-        already-expired allowance that trips on the worker's first
-        checkpoint.
-        """
-        limits = tuple(
-            (name, max(1, limit - self._consumed[name]))
-            for name, limit in self._limits.items()
-            if limit is not None
-        )
-        if self._deadline_at is not None:
-            deadline: float | None = self._deadline_at - time.monotonic()
-            if deadline is not None and deadline <= 0:
-                if self.on_exhausted != "partial":
-                    raise DeadlineExceeded(
-                        f"query deadline of {self.deadline_seconds}s exceeded "
-                        "(expired before worker dispatch)",
-                        resource="deadline_seconds",
-                        consumed=self.deadline_seconds,
-                        limit=self.deadline_seconds,
-                        snapshot=self.snapshot(),
-                    )
-                self.mark_truncated()
-                deadline = _EXPIRED_SLICE_SECONDS
-        else:
-            deadline = self.deadline_seconds
-        return BudgetSlice(
-            limits=limits,
-            deadline_remaining=deadline,
-            on_exhausted=self.on_exhausted,
-        )
-
     def snapshot(self) -> dict[str, float]:
         """Consumed resources plus the budget-relevant obs counters — the
         diagnostics a :class:`~repro.errors.ResourceExhausted` carries."""
@@ -346,43 +294,12 @@ class Budget:
         return f"<Budget {knobs or 'unlimited'} on_exhausted={self.on_exhausted}>"
 
 
-@dataclass(frozen=True)
-class BudgetSlice:
-    """A picklable worker sub-budget spec (see :meth:`Budget.slice`).
-
-    Crossing the process boundary as plain data rather than as a
-    :class:`Budget` keeps the envelope small and sidesteps pickling the
-    parent's live accounting state.
-    """
-
-    limits: tuple[tuple[str, int], ...]
-    deadline_remaining: float | None
-    on_exhausted: str
-
-    def build(self) -> Budget:
-        """Materialize the worker-side :class:`Budget`."""
-        kwargs: dict[str, int] = dict(self.limits)
-        deadline = self.deadline_remaining
-        if deadline is not None:
-            # Defense in depth: Budget.slice() already refuses to hand out
-            # a non-positive remaining deadline, but a slice that sat in a
-            # dispatch queue may arrive expired; it must still build a
-            # valid budget whose first checkpoint fires immediately.
-            deadline = max(deadline, _EXPIRED_SLICE_SECONDS)
-        return Budget(
-            deadline_seconds=deadline,
-            on_exhausted=self.on_exhausted,
-            **kwargs,
-        )
-
-
 # -- active-budget stack and cheap module-level hooks --------------------------
 
 
 #: Per-thread active-budget stack (see the module docstring).  One of
-#: four activation stacks sharing the :class:`ThreadLocalStack`
-#: implementation — engines, registries, and columnar mode are the
-#: others.
+#: three activation stacks sharing the :class:`ThreadLocalStack`
+#: implementation — registries and columnar mode are the others.
 _STACK = ThreadLocalStack()
 
 
@@ -390,17 +307,6 @@ def current_budget() -> Budget | None:
     """The budget governing the current evaluation, if any."""
     stack = _STACK.items
     return stack[-1] if stack else None
-
-
-def reset_active_budgets() -> None:
-    """Clear this thread's active-budget stack.
-
-    Worker-pool plumbing: a forked worker inherits the submitting
-    thread's stack, and an inherited *parent* budget would silently
-    absorb worker charges (or spuriously exhaust an ungoverned task).
-    Task envelopes call this before activating their own sub-budget.
-    """
-    _STACK.clear()
 
 
 def checkpoint() -> None:

@@ -26,9 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import IndexStructureError
 
@@ -111,9 +109,31 @@ def estimate_query_cost(
     return total
 
 
-def _candidate_groupings(attributes: Sequence[str], graph: nx.Graph) -> list[tuple[frozenset[str], ...]]:
-    """Candidate groupings: thresholded connected components at every
-    distinct edge weight, plus the all-separate and all-joint extremes."""
+def _components(attributes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[set[str]]:
+    """Connected components of the graph over ``attributes`` (union-find)."""
+    parent = {a: a for a in attributes}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: dict[str, set[str]] = {}
+    for a in attributes:
+        groups.setdefault(find(a), set()).add(a)
+    return list(groups.values())
+
+
+def _candidate_groupings(
+    attributes: Sequence[str], edges: Mapping[tuple[str, str], float]
+) -> list[tuple[frozenset[str], ...]]:
+    """Candidate groupings: thresholded connected components of the
+    co-occurrence graph (``edges`` maps an attribute pair to its weight)
+    at every distinct edge weight, plus the all-separate and all-joint
+    extremes."""
     candidates: list[tuple[frozenset[str], ...]] = []
     seen: set[tuple[frozenset[str], ...]] = set()
 
@@ -125,16 +145,9 @@ def _candidate_groupings(attributes: Sequence[str], graph: nx.Graph) -> list[tup
 
     push(frozenset({a}) for a in attributes)
     push([frozenset(attributes)])
-    weights = sorted({data["weight"] for _, _, data in graph.edges(data=True)}, reverse=True)
-    for threshold in weights:
-        kept = nx.Graph()
-        kept.add_nodes_from(attributes)
-        kept.add_edges_from(
-            (u, v)
-            for u, v, data in graph.edges(data=True)
-            if data["weight"] >= threshold
-        )
-        push(frozenset(component) for component in nx.connected_components(kept))
+    for threshold in sorted(set(edges.values()), reverse=True):
+        kept = (pair for pair, weight in edges.items() if weight >= threshold)
+        push(frozenset(component) for component in _components(attributes, kept))
     return candidates
 
 
@@ -153,14 +166,12 @@ def recommend_grouping(
     unknown = {a for q in workload for a in q.attributes} - set(attributes)
     if unknown:
         raise IndexStructureError(f"workload queries unknown attributes {sorted(unknown)}")
-    graph = nx.Graph()
-    graph.add_nodes_from(attributes)
+    edges: dict[tuple[str, str], float] = {}
     for query in workload:
-        for a, b in itertools.combinations(sorted(query.attributes), 2):
-            weight = graph.edges[a, b]["weight"] + query.frequency if graph.has_edge(a, b) else query.frequency
-            graph.add_edge(a, b, weight=weight)
+        for pair in itertools.combinations(sorted(query.attributes), 2):
+            edges[pair] = edges.get(pair, 0) + query.frequency
     scored: list[tuple[tuple[frozenset[str], ...], float]] = []
-    for grouping in _candidate_groupings(attributes, graph):
+    for grouping in _candidate_groupings(attributes, edges):
         cost = sum(
             q.frequency * estimate_query_cost(q, grouping, relation_size, fanout)
             for q in workload

@@ -10,12 +10,11 @@ Public surface:
 
 from .compiler import compile_conditions, compile_statement
 from .parser import parse_script, parse_statement
-from .session import ExplainAnalyzeReport, QuerySession, default_workers
+from .session import ExplainAnalyzeReport, QuerySession
 
 __all__ = [
     "ExplainAnalyzeReport",
     "QuerySession",
-    "default_workers",
     "compile_conditions",
     "compile_statement",
     "parse_script",

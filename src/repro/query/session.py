@@ -10,7 +10,6 @@ later steps to reference.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +17,7 @@ from ..algebra.optimizer import Optimizer
 from ..algebra.plan import EvaluationContext, Metrics, PlanNode, evaluate
 from ..analysis.diagnostics import Diagnostics
 from ..errors import OutputLimitExceeded, QueryError, StaticAnalysisError
-from ..exec import ExecutionConfig, ExecutionEngine, columnar_mode, default_exec_mode, split_exec_mode
+from ..exec import columnar_mode, default_exec_mode, uses_columnar
 from ..governor.budget import Budget
 from ..model.database import Database
 from ..model.relation import ConstraintRelation
@@ -28,7 +27,6 @@ from ..obs import (
     COLUMNAR_BYPASSED,
     COLUMNAR_FALLBACK,
     COLUMNAR_FILTERED,
-    EXEC_MORSELS,
     GOVERNOR_DNF_CLAUSES,
     GOVERNOR_OUTPUT_TUPLES,
     GOVERNOR_SOLVER_STEPS,
@@ -47,27 +45,6 @@ from ..obs import (
 from .ast import Statement
 from .compiler import compile_statement
 from .parser import parse_script, parse_statement
-
-#: Environment variable consulted when ``QuerySession(workers=None)``:
-#: lets CI (and users) flip a whole test run to parallel sessions without
-#: touching call sites.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-
-def default_workers() -> int:
-    """The session default worker count: ``$REPRO_WORKERS`` or 1."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return workers
 
 #: Per-node annotations shown by ``explain_analyze`` (label, counter).
 _EXPLAIN_COUNTERS = (
@@ -89,9 +66,6 @@ _EXPLAIN_SPARSE_COUNTERS = (
     ("budget_steps", GOVERNOR_SOLVER_STEPS),
     ("budget_dnf", GOVERNOR_DNF_CLAUSES),
     ("budget_rows", GOVERNOR_OUTPUT_TUPLES),
-    # Morsels dispatched to the parallel engine by this node; nonzero only
-    # in ``QuerySession(workers=N)`` sessions (see docs/PARALLELISM.md).
-    ("morsels", EXEC_MORSELS),
     # Columnar fast-path effectiveness; nonzero only in
     # ``exec_mode="columnar"`` sessions (see docs/COLUMNAR.md).
     ("col_batches", COLUMNAR_BATCHES),
@@ -125,10 +99,6 @@ class ExplainAnalyzeReport:
     #: One-line consumed/limit rendering of the governing budget's window
     #: (``None`` when the session has no budget attached).
     budget_summary: str | None = None
-    #: One-line ``parallelism: workers=N …`` rendering of the execution
-    #: engine's per-statement dispatch stats (``None`` for serial sessions
-    #: and for statements that never dispatched a morsel).
-    parallelism: str | None = None
 
     def columnar_summary(self) -> str | None:
         """One-line rendering of the columnar fast path's effectiveness,
@@ -180,8 +150,6 @@ class ExplainAnalyzeReport:
         lines.append("  ".join(totals))
         if self.budget_summary is not None:
             lines.append(self.budget_summary)
-        if self.parallelism is not None:
-            lines.append(self.parallelism)
         columnar_line = self.columnar_summary()
         if columnar_line is not None:
             lines.append(columnar_line)
@@ -220,20 +188,14 @@ class QuerySession:
       single tuple (only when the budget is in ``"raise"`` mode —
       ``"partial"`` budgets truncate at run time instead).
 
-    ``workers`` enables the morsel-driven parallel engine
-    (:mod:`repro.exec`): statements evaluate with ``workers`` worker
-    tasks refining scans and spatial operators in parallel, bit-identical
-    to serial evaluation (see ``docs/PARALLELISM.md``).  ``workers=1``
-    (the default) is exactly the serial code path — no engine or pool is
-    ever constructed.  ``None`` reads ``$REPRO_WORKERS`` (default 1).
-    Parallel sessions own a worker pool: call :meth:`close` (or use the
-    session as a context manager) when done.
+    ``exec_mode`` picks the execution flavour: ``"columnar"`` turns on
+    the vectorized fast path (bit-identical results, see
+    ``docs/COLUMNAR.md``); ``"row"`` forces it off; ``"auto"`` is the
+    default row path.  ``None`` reads ``$REPRO_EXEC_MODE`` (default
+    ``"auto"``).
 
-    ``exec_mode`` picks the execution flavour: ``"process"`` / ``"thread"``
-    force a pool kind; ``"columnar"`` turns on the vectorized fast path
-    (bit-identical results, see ``docs/COLUMNAR.md``) with pool flavour
-    auto; ``"row"`` forces it off; ``"auto"`` is the default row path.
-    ``None`` reads ``$REPRO_EXEC_MODE`` (default ``"auto"``).
+    :meth:`close` (or leaving the session's ``with`` block) marks the
+    session closed; a closed session rejects further statements.
     """
 
     _ANALYSIS_MODES = ("off", "warn", "strict")
@@ -246,20 +208,16 @@ class QuerySession:
         registry: MetricsRegistry | None = None,
         budget: Budget | None = None,
         analysis: str = "off",
-        workers: int | None = None,
         exec_mode: str | None = None,
     ) -> None:
         if analysis not in self._ANALYSIS_MODES:
             raise ValueError(
                 f"analysis must be one of {self._ANALYSIS_MODES}, got {analysis!r}"
             )
-        if workers is None:
-            workers = default_workers()
         if exec_mode is None:
             exec_mode = default_exec_mode()
-        pool_mode, columnar_on = split_exec_mode(exec_mode)
+        self._columnar = uses_columnar(exec_mode)
         self._exec_mode = exec_mode
-        self._columnar = columnar_on
         self._workspace = Database({name: database[name] for name in database})
         self._indexes = {k: dict(v) for k, v in (indexes or {}).items()}
         self._use_optimizer = use_optimizer
@@ -269,16 +227,9 @@ class QuerySession:
         self._budget = budget
         self._analysis = analysis
         self._last_diagnostics: Diagnostics | None = None
-        self._exec_config = ExecutionConfig(workers=workers, mode=pool_mode)
-        self._engine: ExecutionEngine | None = None
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """The session's worker count (1 = serial)."""
-        return self._exec_config.workers
 
     @property
     def exec_mode(self) -> str:
@@ -287,40 +238,16 @@ class QuerySession:
         return self._exec_mode
 
     @property
-    def engine(self) -> ExecutionEngine | None:
-        """The lazily created execution engine (``None`` while serial or
-        before the first parallel statement)."""
-        return self._engine
-
-    def _active_engine(self) -> ExecutionEngine | None:
-        if self._exec_config.workers < 2:
-            return None
-        if self._engine is None:
-            # A closed parallel session must not silently leak a fresh
-            # pool; _run already rejects statements after close(), this
-            # guards direct callers.
-            if self._closed:
-                raise QueryError("QuerySession is closed")
-            self._engine = ExecutionEngine(self._exec_config)
-        return self._engine
-
-    @property
     def closed(self) -> bool:
         """True once :meth:`close` has run; closed sessions reject new
         statements (the server closes tenant sessions on drain)."""
         return self._closed
 
     def close(self) -> None:
-        """Shut down the worker pool, if one was ever created, and mark
-        the session closed.  Idempotent: repeated calls — including via
-        ``__exit__`` after an explicit close — are no-ops, and serial
-        sessions have nothing to close but still flip ``closed``."""
-        if self._closed:
-            return
+        """Mark the session closed.  Idempotent: repeated calls —
+        including via ``__exit__`` after an explicit close — are
+        no-ops."""
         self._closed = True
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
 
     def __enter__(self) -> "QuerySession":
         return self
@@ -390,15 +317,8 @@ class QuerySession:
         schemas = self._schemas()
         plan = compile_statement(statement.body, schemas)
         plan = self.plan_for(plan)
-        budget = self._budget
-        engine = self._active_engine()
         with columnar_mode(self._columnar):
-            if engine is not None:
-                engine.begin_statement()
-                with engine.activate():
-                    result = self._evaluate_governed(plan, budget, statement.target)
-            else:
-                result = self._evaluate_governed(plan, budget, statement.target)
+            result = self._evaluate_governed(plan, self._budget, statement.target)
         self._workspace.add(statement.target, result, replace=True)
         self._results[statement.target] = result
         self._last = result
@@ -431,9 +351,6 @@ class QuerySession:
             result=result,
             root=root,
             budget_summary=self._budget.summary() if self._budget is not None else None,
-            parallelism=(
-                self._engine.statement_summary() if self._engine is not None else None
-            ),
         )
 
     def plan_for(self, plan: PlanNode) -> PlanNode:

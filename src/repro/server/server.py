@@ -92,6 +92,9 @@ _BUDGET_KNOBS = (
     "io_accesses",
 )
 
+#: Socket read size for accepted connections (see ``_handle``).
+_READ_SIZE = 64 * 1024
+
 #: Ceiling on the diagnostic ``sleep`` op (it occupies a worker slot).
 _MAX_SLEEP_SECONDS = 30.0
 
@@ -103,9 +106,7 @@ class ServerConfig:
     ``workers`` bounds concurrently *executing* queries (the thread
     pool); ``max_queue`` bounds queries *waiting* for a thread — beyond
     ``workers + max_queue`` admitted-but-unfinished requests the server
-    sheds.  ``session_workers`` is passed through to each tenant's
-    :class:`~repro.query.QuerySession` as its morsel-parallel worker
-    count.  The ``deadline_seconds`` … ``on_exhausted`` fields are the
+    sheds.  The ``deadline_seconds`` … ``on_exhausted`` fields are the
     per-tenant default budget (``None`` = that resource unlimited);
     requests may tighten them per query but never loosen them.
     """
@@ -114,7 +115,6 @@ class ServerConfig:
     port: int = 0
     workers: int = 2
     max_queue: int = 8
-    session_workers: int = 1
     #: Execution flavour for every tenant session (see docs/COLUMNAR.md):
     #: ``"columnar"`` turns on the vectorized fast path per tenant;
     #: ``None`` defers to ``$REPRO_EXEC_MODE`` / ``"auto"``.
@@ -307,9 +307,9 @@ class QueryServer:
         executor, self._executor = self._executor, None
 
         def _teardown() -> None:
-            # Session close and executor join both touch files/threads —
-            # blocking work, so it runs off-loop (the loop must stay
-            # responsive for any last handler tasks unwinding above).
+            # The executor join blocks, so teardown runs off-loop (the
+            # loop must stay responsive for any last handler tasks
+            # unwinding above).
             for tenant in tenants:
                 self._close_tenant(tenant)
             if executor is not None:
@@ -329,6 +329,11 @@ class QueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
+        transport = writer.transport
+        if hasattr(transport, "max_size"):
+            # asyncio's default 256 KiB recv buffer is above glibc's 128 KiB
+            # mmap threshold, so every frame would mmap + fault + munmap.
+            transport.max_size = _READ_SIZE
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -535,7 +540,6 @@ class QueryServer:
                 use_optimizer=self.config.use_optimizer,
                 registry=MetricsRegistry(),
                 analysis=self.config.analysis,
-                workers=self.config.session_workers,
                 exec_mode=self.config.exec_mode,
             )
             tenant = self._tenants[name] = _Tenant(
@@ -679,7 +683,8 @@ class QueryServer:
 
     async def _drain_tenant(self, tenant: _Tenant) -> None:
         async with tenant.lock:
-            # close() may flush session state — blocking, so off-loop.
+            # Session teardown stays off the loop, like every other
+            # session close (lint rule RT101).
             await asyncio.to_thread(tenant.session.close)
             tenant.snapshot.unpin()
 

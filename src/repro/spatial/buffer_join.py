@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from ..errors import GeometryError, ResourceExhausted
 from ..exec import columnar as _cx
-from ..exec import parallel_engine
 from ..governor.budget import ProducerGuard
 from ..indexing.mbr import MBR
 from ..model.relation import ConstraintRelation
@@ -129,11 +128,6 @@ def buffer_join(
     index.bind_registry(reg)
     d_float = float(d)
     d_sq = d_float * d_float
-    engine = parallel_engine(len(left))
-    if engine is not None:
-        return _buffer_join_parallel(
-            engine, left, right, index, d, d_float, schema, left_attr, right_attr, stats, reg
-        )
     guard = ProducerGuard()
     tuples: list[HTuple] = []
     self_join = left is right
@@ -175,108 +169,6 @@ def buffer_join(
                 if not guard.absorb(exc):
                     raise
                 break
-    stats.index_accesses += scoped.get(LOGICAL_NODE_ACCESSES, 0)
-    return ConstraintRelation(schema, tuples)
-
-
-def _refine_task(d_float: float, morsel: tuple[tuple[Feature, Feature], ...]) -> list[bool]:
-    """Worker-side morsel task: exact within-distance test per candidate
-    pair (part-pair box prunes are recorded to the worker registry and
-    merged back)."""
-    return [a.distance(b, cutoff=d_float) <= d_float for a, b in morsel]
-
-
-def _buffer_join_parallel(
-    engine,
-    left: FeatureSet,
-    right: FeatureSet,
-    index,
-    d,
-    d_float: float,
-    schema: Schema,
-    left_attr: str,
-    right_attr: str,
-    stats: BufferJoinStatistics,
-    reg: MetricsRegistry,
-) -> ConstraintRelation:
-    """The morsel-parallel Buffer-Join: serial index filter (phase 1),
-    parallel exact-distance refinement over candidate pairs (phase 2),
-    then an ordered merge that re-produces accepted pairs in the serial
-    iteration order (phase 3) — bit-identical to the serial loop.
-    """
-    from ..exec import rebuild_exhaustion, reconcile_consumed
-    from ..exec.morsel import partition
-
-    d_sq = d_float * d_float
-    guard = ProducerGuard()
-    self_join = left is right
-    pairs: list[tuple[Feature, Feature]] = []
-    tuples: list[HTuple] = []
-    with reg.scope("buffer_join") as scoped:
-        # Phase 1 — filter: same index searches and box-distance prunes,
-        # in the same order, as the serial loop; survivors are collected
-        # instead of refined inline.
-        try:
-            for feature in left:
-                if not guard.start_row():
-                    break
-                candidates = index.search(_query_mbr(feature, d))
-                feature_box = feature.float_bbox()
-                dists_sq = _batched_dists_sq(feature_box, right, candidates, d_sq)
-                for pos, fid in enumerate(candidates):
-                    if self_join and fid == feature.fid:
-                        continue
-                    stats.candidate_pairs += 1
-                    candidate = right[fid]
-                    lower_sq = (
-                        dists_sq[pos]
-                        if dists_sq is not None
-                        else box_mindist_sq(feature_box, candidate.float_bbox())
-                    )
-                    if lower_sq > d_sq:
-                        stats.pruned_pairs += 1
-                        record(SPATIAL_REFINE_PRUNES)
-                        continue
-                    pairs.append((feature, candidate))
-        except ResourceExhausted as exc:
-            if not guard.absorb(exc):
-                raise
-        budget = guard.budget
-        if budget is not None and budget.truncated:
-            # Filter-phase exhaustion (deadline / IO): the serial loop
-            # stops producing at this point, so drop the unrefined tail.
-            pairs = []
-        # Phase 2 — refine: dispatch exact distance tests per morsel.
-        flags: list[bool] = []
-        if pairs:
-            morsels = partition(pairs, engine.morsel_size(len(pairs)))
-            outcomes = engine.map_morsels(_refine_task, d_float, morsels, label="buffer_join")
-            failure = None
-            for outcome in outcomes:
-                engine.merge_counters(reg, outcome)
-                if failure is not None:
-                    continue
-                if outcome.failure is not None:
-                    if budget is not None and budget.on_exhausted == "partial":
-                        budget.mark_truncated()
-                    else:
-                        failure = outcome.failure
-                    continue
-                reconcile_consumed(budget, outcome.consumed)
-                flags.extend(outcome.output)
-            if failure is not None:
-                raise rebuild_exhaustion(failure)
-        # Phase 3 — ordered merge: accepted pairs produce in exactly the
-        # serial order, so the output-tuple cap truncates identically.
-        for (feature, candidate), accepted in zip(pairs, flags):
-            if not accepted:
-                continue
-            if not guard.produced():
-                break
-            stats.result_pairs += 1
-            tuples.append(
-                HTuple(schema, {left_attr: feature.fid, right_attr: candidate.fid})
-            )
     stats.index_accesses += scoped.get(LOGICAL_NODE_ACCESSES, 0)
     return ConstraintRelation(schema, tuples)
 

@@ -19,7 +19,6 @@ import heapq
 from dataclasses import dataclass
 
 from ..errors import GeometryError, ResourceExhausted
-from ..exec import parallel_engine
 from ..governor.budget import ProducerGuard
 from ..model.relation import ConstraintRelation
 from ..model.schema import Schema, relational
@@ -68,9 +67,6 @@ def k_nearest_features(
     # partial mode — a sound (if possibly incomplete) nearest set.
     best: list[tuple[float, str]] = []
     guard = ProducerGuard()
-    engine = parallel_engine(len(features))
-    if engine is not None:
-        return _k_nearest_parallel(engine, features, query, k, target, stats, reg, guard)
     with reg.scope("k_nearest") as scoped:
         try:
             for mindist, fid in index.nearest_iter(target):
@@ -93,108 +89,6 @@ def k_nearest_features(
                     heapq.heappush(best, entry)
                 elif entry > best[0]:  # smaller distance, or equal with smaller fid
                     heapq.heapreplace(best, entry)
-        except ResourceExhausted as exc:
-            if not guard.absorb(exc):
-                raise
-    stats.index_accesses += scoped.get(LOGICAL_NODE_ACCESSES, 0)
-    ordered = sorted(((-negated, fid) for negated, fid in best))
-    return [(features[fid], distance) for distance, fid in ordered]
-
-
-def _knn_refine_task(
-    payload: tuple[Feature, float | None], morsel: tuple[Feature, ...]
-) -> list[float]:
-    """Worker-side morsel task: exact distance from the query feature to
-    each candidate, under the batch-start cutoff."""
-    query, cutoff = payload
-    return [query.distance(candidate, cutoff=cutoff) for candidate in morsel]
-
-
-def _k_nearest_parallel(
-    engine,
-    features: FeatureSet,
-    query: Feature,
-    k: int,
-    target,
-    stats: KNearestStatistics,
-    reg: MetricsRegistry,
-    guard: ProducerGuard,
-) -> list[tuple[Feature, float]]:
-    """Batched best-first k-nearest: candidates are pulled from the
-    MINDIST stream in batches, their exact distances refined in parallel
-    morsels, and the heap updated serially in stream order.
-
-    Provably result-identical to the serial loop: the batch cutoff
-    (the k-th distance at batch start) is never tighter than the serial
-    per-candidate cutoff, and :meth:`Feature.distance` returns the exact
-    distance whenever it is within the cutoff, so every heap decision
-    compares the same values in the same order.  The only differences are
-    wasted work at the margins — a batch may refine a few candidates the
-    serial loop's evolving cutoff would have rejected before refinement,
-    and may read a few extra index nodes past the serial stop point.
-    """
-    from ..exec import rebuild_exhaustion, reconcile_consumed
-    from ..exec.morsel import partition
-
-    batch_size = max(engine.config.workers * 8, 16)
-    best: list[tuple[float, str]] = []
-    with reg.scope("k_nearest") as scoped:
-        stream = iter(features.index().nearest_iter(target))
-        done = False
-        try:
-            while not done:
-                # Pull one batch under the batch-start termination bound.
-                kth = -best[0][0] if len(best) == k else None
-                batch: list[str] = []
-                while len(batch) < batch_size:
-                    try:
-                        mindist, fid = next(stream)
-                    except StopIteration:
-                        done = True
-                        break
-                    if not guard.start_row():
-                        done = True
-                        break
-                    if fid == query.fid and fid in features and features[fid] is query:
-                        continue
-                    if kth is not None and mindist > kth:
-                        done = True
-                        break
-                    batch.append(fid)
-                if not batch:
-                    break
-                morsels = partition(
-                    [features[fid] for fid in batch], engine.morsel_size(len(batch))
-                )
-                outcomes = engine.map_morsels(
-                    _knn_refine_task, (query, kth), morsels, label="k_nearest"
-                )
-                distances: list[float] = []
-                failure = None
-                budget = guard.budget
-                for outcome in outcomes:
-                    engine.merge_counters(reg, outcome)
-                    if failure is not None:
-                        continue
-                    if outcome.failure is not None:
-                        if budget is not None and budget.on_exhausted == "partial":
-                            budget.mark_truncated()
-                        else:
-                            failure = outcome.failure
-                        continue
-                    reconcile_consumed(budget, outcome.consumed)
-                    distances.extend(outcome.output)
-                if failure is not None:
-                    raise rebuild_exhaustion(failure)
-                # Serial heap updates in stream order — identical
-                # decisions to the serial loop (see the docstring).
-                for fid, exact in zip(batch, distances):
-                    stats.candidates_refined += 1
-                    entry = (-exact, fid)
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
         except ResourceExhausted as exc:
             if not guard.absorb(exc):
                 raise

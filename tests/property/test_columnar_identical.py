@@ -1,17 +1,15 @@
 """Property tests: columnar execution is bit-identical to row execution.
 
-The columnar fast path's contract (docs/COLUMNAR.md) mirrors the parallel
-engine's: for every workload, every operator, and every worker count, the
-vectorized filter-then-refine path returns *the same relation* as the row
-path — same tuples in the same order, same truncation point in partial
-mode, and the same governed-failure taxonomy.  These tests drive that
-contract over random rectangle workloads at ``workers ∈ {1, 2, 4}``.
+The columnar fast path's contract (docs/COLUMNAR.md): for every workload
+and every operator, the vectorized filter-then-refine path returns *the
+same relation* as the row path — same tuples in the same order, same
+truncation point in partial mode, and the same governed-failure taxonomy.
+These tests drive that contract over random rectangle workloads.
 """
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import SeqScan, evaluate
@@ -19,7 +17,7 @@ from repro.algebra.operators import select
 from repro.algebra.plan import EvaluationContext
 from repro.constraints import parse_constraints
 from repro.errors import ResourceExhausted
-from repro.exec import ExecutionConfig, ExecutionEngine, columnar_mode
+from repro.exec import columnar_mode
 from repro.governor import Budget
 from repro.model.database import Database
 from repro.obs import MetricsRegistry
@@ -32,26 +30,7 @@ from repro.spatial.polygon import ConvexPolygon
 from repro.storage.heapfile import HeapFile
 from repro.workloads import build_constraint_relation, generate_data
 
-WORKER_COUNTS = (2, 4)
-
-SETTINGS = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-
-@pytest.fixture(scope="module")
-def engines():
-    made = {
-        workers: ExecutionEngine(
-            ExecutionConfig(workers=workers, mode="thread", min_parallel_items=1)
-        )
-        for workers in WORKER_COUNTS
-    }
-    yield made
-    for engine in made.values():
-        engine.close()
+SETTINGS = settings(max_examples=15, deadline=None)
 
 
 def _relations_identical(a, b):
@@ -108,7 +87,7 @@ class TestSelectIdentical:
         lo=st.integers(0, 400),
         width=st.integers(50, 600),
     )
-    def test_row_vs_columnar_across_workers(self, engines, seed, size, lo, width):
+    def test_row_vs_columnar(self, seed, size, lo, width):
         relation = build_constraint_relation(generate_data(size, seed))
         predicates = parse_constraints(
             f"x >= {lo}, x <= {lo + width}, y >= {lo}, y <= {lo + width}"
@@ -117,35 +96,26 @@ class TestSelectIdentical:
         with columnar_mode():
             col = select(relation, predicates)
         _relations_identical(row, col)
-        for workers in WORKER_COUNTS:
-            with engines[workers].activate(), columnar_mode():
-                col_parallel = select(relation, predicates)
-            _relations_identical(row, col_parallel)
 
     @SETTINGS
     @given(seed=st.integers(0, 10_000), cap=st.integers(1, 30))
-    def test_partial_truncation_point_identical(self, engines, seed, cap):
+    def test_partial_truncation_point_identical(self, seed, cap):
         relation = build_constraint_relation(generate_data(40, seed))
         predicates = parse_constraints("x >= 0, x <= 900, y >= 0, y <= 900")
 
-        def run(engine, columnar_on):
+        def run(columnar_on):
             budget = Budget(output_tuples=cap, on_exhausted="partial")
-            with columnar_mode(columnar_on):
-                if engine is None:
-                    with budget.activate():
-                        return select(relation, predicates), budget
-                with engine.activate(), budget.activate():
-                    return select(relation, predicates), budget
+            with columnar_mode(columnar_on), budget.activate():
+                return select(relation, predicates), budget
 
-        row, row_budget = run(None, False)
-        for engine in (None, *(engines[w] for w in WORKER_COUNTS)):
-            col, col_budget = run(engine, True)
-            _relations_identical(row, col)
-            assert row_budget.truncated == col_budget.truncated
+        row, row_budget = run(False)
+        col, col_budget = run(True)
+        _relations_identical(row, col)
+        assert row_budget.truncated == col_budget.truncated
 
     @SETTINGS
     @given(seed=st.integers(0, 10_000), steps=st.integers(1, 40))
-    def test_exhaustion_taxonomy_identical(self, engines, seed, steps):
+    def test_exhaustion_taxonomy_identical(self, seed, steps):
         relation = build_constraint_relation(generate_data(40, seed))
         # Multi-attribute conjuncts defeat the interval fast path (and the
         # columnar mask, which is built from the same single-variable
@@ -216,18 +186,13 @@ class TestSeqScanIdentical:
 class TestSpatialIdentical:
     @SETTINGS
     @given(seed=st.integers(0, 10_000), distance=st.integers(5, 120))
-    def test_buffer_join(self, engines, seed, distance):
+    def test_buffer_join(self, seed, distance):
         row_set = _rect_features(30, seed)
         row = buffer_join(row_set, row_set, distance)
         fresh = _rect_features(30, seed)
         with columnar_mode():
             col = buffer_join(fresh, fresh, distance)
         _relations_identical(row, col)
-        for workers in WORKER_COUNTS:
-            fresh = _rect_features(30, seed)
-            with engines[workers].activate(), columnar_mode():
-                col_parallel = buffer_join(fresh, fresh, distance)
-            _relations_identical(row, col_parallel)
 
     @SETTINGS
     @given(seed=st.integers(0, 10_000), distance=st.integers(20, 200))
@@ -243,18 +208,13 @@ class TestSpatialIdentical:
 
     @SETTINGS
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
-    def test_k_nearest(self, engines, seed, k):
+    def test_k_nearest(self, seed, k):
         row_set = _rect_features(30, seed)
         row = k_nearest(row_set, row_set["f000"], k)
         fresh = _rect_features(30, seed)
         with columnar_mode():
             col = k_nearest(fresh, fresh["f000"], k)
         _relations_identical(row, col)
-        for workers in WORKER_COUNTS:
-            fresh = _rect_features(30, seed)
-            with engines[workers].activate(), columnar_mode():
-                col_parallel = k_nearest(fresh, fresh["f000"], k)
-            _relations_identical(row, col_parallel)
 
     @SETTINGS
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 8))
@@ -282,8 +242,7 @@ class TestSpatialIdentical:
 
 
 class TestSessionIdentical:
-    """Whole-session parity: exec_mode="columnar" vs the default row mode,
-    serial and with workers."""
+    """Whole-session parity: exec_mode="columnar" vs the default row mode."""
 
     SCRIPT = (
         "inside = select x >= 100, x <= 700, y >= 100, y <= 700 from boxes\n"
@@ -294,18 +253,15 @@ class TestSessionIdentical:
         relation = build_constraint_relation(generate_data(80, seed=23)).with_name("boxes")
         return Database({"boxes": relation})
 
-    def _run_session(self, exec_mode, workers=1):
-        with QuerySession(
-            self._database(), workers=workers, exec_mode=exec_mode
-        ) as session:
+    def _run_session(self, exec_mode):
+        with QuerySession(self._database(), exec_mode=exec_mode) as session:
             result = session.run_script(self.SCRIPT)
             bound = dict(session.results)
         return result, bound
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_script_results_match(self, workers):
-        row_result, row_bound = self._run_session("row", workers=workers)
-        col_result, col_bound = self._run_session("columnar", workers=workers)
+    def test_script_results_match(self):
+        row_result, row_bound = self._run_session("row")
+        col_result, col_bound = self._run_session("columnar")
         _relations_identical(row_result, col_result)
         assert row_bound.keys() == col_bound.keys()
         for name in row_bound:

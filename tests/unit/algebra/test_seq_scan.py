@@ -3,7 +3,6 @@
 from repro.algebra import Scan, Select, SeqScan, evaluate
 from repro.algebra.plan import EvaluationContext
 from repro.constraints import parse_constraints
-from repro.exec import ExecutionConfig, ExecutionEngine
 from repro.governor import Budget
 from repro.model.database import Database
 from repro.obs import MetricsRegistry
@@ -41,15 +40,6 @@ class TestSeqScan:
         memory = evaluate(SeqScan("boxes", PREDS), _context(with_heap=False))
         assert list(result.tuples) == list(memory.tuples)
         assert budget.consumed["io_accesses"] >= heap.page_count
-
-    def test_parallel_matches_serial(self):
-        serial = evaluate(SeqScan("boxes", PREDS), _context(with_heap=True))
-        with ExecutionEngine(
-            ExecutionConfig(workers=2, mode="thread", min_parallel_items=1)
-        ) as engine:
-            with engine.activate():
-                parallel = evaluate(SeqScan("boxes", PREDS), _context(with_heap=True))
-        assert list(serial.tuples) == list(parallel.tuples)
 
     def test_describe(self):
         assert SeqScan("boxes").describe() == "SeqScan(boxes)"

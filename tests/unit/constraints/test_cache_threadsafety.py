@@ -1,10 +1,10 @@
 """Regression tests: the solver cache structures are thread-safe.
 
-The thread-pool fallback of the execution engine (repro.exec) runs worker
-tasks in the same interpreter, so the process-global intern table and
-solver memo caches see concurrent access.  Before the locks were added,
-concurrent ``get``/``put`` could corrupt the LRU ordering (RuntimeError
-from OrderedDict mutation during move_to_end) and drop or double-count
+The query server runs tenant sessions on a thread pool in one
+interpreter, so the process-global intern table and solver memo caches
+see concurrent access.  Before the locks were added, concurrent
+``get``/``put`` could corrupt the LRU ordering (RuntimeError from
+OrderedDict mutation during move_to_end) and drop or double-count
 hit/miss statistics.
 """
 

@@ -22,7 +22,7 @@ from repro.exec import (
     columnar_active,
     columnar_mode,
     default_exec_mode,
-    split_exec_mode,
+    uses_columnar,
 )
 from repro.model.database import Database
 from repro.obs import (
@@ -42,20 +42,20 @@ def _relation(size=40, seed=7):
 
 
 class TestModeParsing:
-    def test_split_pool_modes_keep_columnar_off(self):
-        assert split_exec_mode("process") == ("process", False)
-        assert split_exec_mode("thread") == ("thread", False)
+    def test_modes_are_auto_row_columnar(self):
+        assert EXEC_MODES == ("auto", "row", "columnar")
 
-    def test_split_row_and_auto(self):
-        assert split_exec_mode("auto") == ("auto", False)
-        assert split_exec_mode("row") == ("auto", False)
+    def test_row_and_auto_keep_columnar_off(self):
+        assert not uses_columnar("auto")
+        assert not uses_columnar("row")
 
-    def test_split_columnar(self):
-        assert split_exec_mode("columnar") == ("auto", True)
+    def test_columnar_turns_it_on(self):
+        assert uses_columnar("columnar")
 
-    def test_split_rejects_unknown(self):
-        with pytest.raises(ValueError, match="exec_mode"):
-            split_exec_mode("simd")
+    def test_rejects_unknown(self):
+        for mode in ("simd", "process", "thread"):
+            with pytest.raises(ValueError, match="exec_mode"):
+                uses_columnar(mode)
 
     def test_default_is_auto_without_env(self, monkeypatch):
         monkeypatch.delenv(EXEC_MODE_ENV_VAR, raising=False)
@@ -64,8 +64,8 @@ class TestModeParsing:
     def test_default_reads_env(self, monkeypatch):
         monkeypatch.setenv(EXEC_MODE_ENV_VAR, "columnar")
         assert default_exec_mode() == "columnar"
-        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "  THREAD ")
-        assert default_exec_mode() == "thread"
+        monkeypatch.setenv(EXEC_MODE_ENV_VAR, "  ROW ")
+        assert default_exec_mode() == "row"
 
     def test_default_rejects_invalid_env(self, monkeypatch):
         monkeypatch.setenv(EXEC_MODE_ENV_VAR, "simd")
@@ -207,8 +207,9 @@ class TestSessionKnob:
     def test_exec_mode_property_and_validation(self):
         with QuerySession(self._database(), exec_mode="columnar") as session:
             assert session.exec_mode == "columnar"
-        with pytest.raises(ValueError, match="exec_mode"):
-            QuerySession(self._database(), exec_mode="simd")
+        for mode in ("simd", "process", "thread"):
+            with pytest.raises(ValueError, match="exec_mode"):
+                QuerySession(self._database(), exec_mode=mode)
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv(EXEC_MODE_ENV_VAR, "columnar")

@@ -14,7 +14,6 @@ from repro.errors import (
 )
 from repro.governor import (
     Budget,
-    BudgetSlice,
     ProducerGuard,
     charge,
     charge_io,
@@ -108,51 +107,6 @@ class TestExpiredDeadline:
         stack.__enter__()
         time.sleep(0.01)  # run the 1ms deadline out
         return budget, stack
-
-    def test_slice_of_expired_parent_raises_in_raise_mode(self):
-        budget, stack = self._expired_budget(solver_steps=100)
-        try:
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                budget.slice()
-        finally:
-            stack.__exit__(None, None, None)
-        assert excinfo.value.resource == "deadline_seconds"
-        # The snapshot that travels with the error must not report
-        # negative time remaining.
-        assert excinfo.value.snapshot["deadline.remaining_seconds"] == 0.0
-
-    def test_slice_of_expired_partial_parent_truncates_and_trips(self):
-        budget, stack = self._expired_budget(on_exhausted="partial")
-        try:
-            piece = budget.slice()
-        finally:
-            stack.__exit__(None, None, None)
-        assert budget.truncated
-        assert piece.deadline_remaining is not None
-        assert piece.deadline_remaining > 0  # never a non-positive deadline
-        worker = piece.build()  # the constructor path must accept it
-        with worker.activate():
-            time.sleep(0.001)
-            worker.checkpoint()  # partial mode: truncates instead of raising
-            assert worker.truncated
-
-    def test_slice_keeps_positive_remaining_deadline(self):
-        budget = Budget(deadline_seconds=60.0)
-        with budget.activate():
-            piece = budget.slice()
-        assert piece.deadline_remaining is not None
-        assert 0 < piece.deadline_remaining <= 60.0
-
-    def test_expired_slice_spec_still_builds(self):
-        # Defense in depth: a slice that sat in a queue can arrive expired.
-        piece = BudgetSlice(
-            limits=(("solver_steps", 5),), deadline_remaining=-0.5, on_exhausted="raise"
-        )
-        worker = piece.build()
-        with worker.activate():
-            time.sleep(0.001)
-            with pytest.raises(DeadlineExceeded):
-                worker.checkpoint()
 
     def test_snapshot_remaining_seconds_clamped_at_zero(self):
         budget, stack = self._expired_budget()

@@ -173,3 +173,27 @@ class TestSession:
         session.execute("R0 = select t >= 15 from R")
         assert len(db["R"]) == 2
         assert len(session["R"]) == 2
+
+
+class TestSessionClose:
+    def test_close_is_idempotent(self):
+        session = QuerySession(Database())
+        assert not session.closed
+        session.close()
+        session.close()
+        assert session.closed
+
+    def test_context_manager_after_explicit_close(self):
+        with QuerySession(Database()) as session:
+            session.close()
+        assert session.closed  # __exit__ re-closing was a no-op
+
+    def test_closed_session_rejects_statements(self, db):
+        session = QuerySession(db)
+        session.close()
+        with pytest.raises(QueryError, match="closed"):
+            session.execute("R0 = select t >= 0 from R")
+
+    def test_workers_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            QuerySession(Database(), workers=2)

@@ -70,6 +70,20 @@ class TestBasicOps:
         assert reply["id"] == "my-id-42"
 
 
+class TestTransport:
+    def test_accepted_connection_reads_below_the_mmap_threshold(self, harness):
+        # A recv buffer of 128 KiB or more is served by mmap in glibc, so
+        # every frame would pay mmap + page faults + munmap.
+        async def read_sizes():
+            return [writer.transport.max_size for writer in harness.server._writers]
+
+        with harness.client(tenant="transport") as client:
+            assert client.ping()["ok"]
+            sizes = harness.run_coro(read_sizes())
+        assert sizes
+        assert all(size < 128 * 1024 for size in sizes)
+
+
 class TestTenancy:
     def test_bindings_persist_per_tenant(self, harness):
         with harness.client(tenant="alice") as client:
