@@ -34,7 +34,6 @@ from .plan import (
     Rename,
     Scan,
     Select,
-    SeqScan,
     Union,
     evaluate,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Rename",
     "Scan",
     "Select",
-    "SeqScan",
     "StringPredicate",
     "Union",
     "UnsafeDistance",

@@ -44,7 +44,7 @@ def _select_survivor(t: HTuple, predicates: Sequence[Predicate]) -> HTuple | Non
     """One tuple's selection work: predicate evaluation, conjoining, and
     the satisfiability decision.  ``None`` means the tuple vanishes.
 
-    Shared by the flat filter loop and the paged columnar scan.
+    The per-row body of :func:`filter_tuples`.
     """
     atoms: list[LinearConstraint] = []
     for predicate in predicates:
@@ -78,7 +78,7 @@ def filter_tuples(
 ) -> list[HTuple]:
     """The governed selection loop over pre-validated predicates.
 
-    Shared by :func:`select` and the heapfile sequential scan.
+    The body of :func:`select`.
 
     With the columnar fast path on (``columnar_on``; ``None`` consults
     the thread-local mode) a vectorized interval filter masks out
@@ -116,7 +116,7 @@ def _columnar_mask(
     block_cache: dict | None = None,
 ):
     """The candidate mask for one batch, or ``None`` when the probe
-    bypasses (too small, no numpy, or no vectorizable predicate bounds).
+    bypasses (too small, or no vectorizable predicate bounds).
     Counter contract: one ``columnar.batches`` per vectorized batch,
     ``filtered``/``fallback`` split the batch, one ``bypassed`` per
     probed-and-declined batch."""
@@ -133,62 +133,6 @@ def _columnar_mask(
     record(COLUMNAR_FILTERED, len(tuples) - candidates)
     record(COLUMNAR_FALLBACK, candidates)
     return mask
-
-
-def filter_pages_columnar(
-    pages: Sequence[Sequence[HTuple]],
-    predicates: Sequence[Predicate],
-    heap=None,
-) -> list[HTuple] | None:
-    """The paged columnar sequential-scan filter: one governed guard
-    across all pages (so governor behaviour matches the flat loop over
-    the concatenated tuples exactly) with one summary block per page,
-    memoised on ``heap`` so repeated scans pay the float export once per
-    page.  Returns ``None`` to signal bypass — columnar off, too few
-    tuples, or no vectorizable predicate bounds — in which case the
-    caller runs :func:`filter_tuples` over the flat list.
-    """
-    if not columnar.columnar_active() or not predicates:
-        return None
-    total = sum(len(page) for page in pages)
-    if total < columnar.MIN_BATCH:
-        return None
-    first = next((page[0] for page in pages if page), None)
-    if first is None:
-        return []
-    plan = columnar.selection_plan(predicates, first.schema)
-    if plan is None:
-        record(COLUMNAR_BYPASSED)
-        return None
-    guard = ProducerGuard()
-    result: list[HTuple] = []
-    for page_index, page in enumerate(pages):
-        if not page:
-            continue
-        cache = heap.page_cache(page_index) if heap is not None else None
-        block = columnar.block_for(page, plan.variables, cache=cache)
-        mask = columnar.candidate_mask(block, plan)
-        candidates = int(mask.sum())
-        record(COLUMNAR_BATCHES)
-        record(COLUMNAR_FILTERED, len(page) - candidates)
-        record(COLUMNAR_FALLBACK, candidates)
-        for i, t in enumerate(page):
-            if not guard.start_row():
-                return result
-            if not mask[i]:
-                continue
-            try:
-                survivor = _select_survivor(t, predicates)
-            except ResourceExhausted as exc:
-                if not guard.absorb(exc):
-                    raise
-                return result
-            if survivor is None:
-                continue
-            if not guard.produced():
-                return result
-            result.append(survivor)
-    return result
 
 
 def select(relation: ConstraintRelation, predicates: Sequence[Predicate]) -> ConstraintRelation:

@@ -65,14 +65,9 @@ class EvaluationContext:
         database: Database,
         indexes: Mapping[str, Mapping[frozenset[str], object]] | None = None,
         registry: MetricsRegistry | None = None,
-        heapfiles: Mapping[str, object] | None = None,
     ):
         self.database = database
         self.indexes = {k: dict(v) for k, v in (indexes or {}).items()}
-        #: relation name → :class:`~repro.storage.HeapFile`; consulted by
-        #: :class:`SeqScan` so base-table scans read paged storage (and
-        #: charge per-page IO) instead of the in-memory relation.
-        self.heapfiles = dict(heapfiles or {})
         self.registry = registry if registry is not None else MetricsRegistry()
         self.metrics = Metrics(registry=self.registry)
         for strategies in self.indexes.values():
@@ -285,58 +280,6 @@ class Rename(PlanNode):
 
     def describe(self) -> str:
         return f"Rename({self.old} -> {self.new})"
-
-
-class SeqScan(PlanNode):
-    """Sequential scan of a base relation's heap file with an optional
-    pushed-down predicate list.
-
-    When the context registers a :class:`~repro.storage.HeapFile` for the
-    relation, pages are read through it (charging one IO per page); the
-    per-tuple predicate filtering then runs through the same governed
-    filter loop as :class:`Select`, so ``SeqScan(name, preds)`` always equals
-    ``Select(Scan(name), preds)``.  Without a registered heap file it
-    degrades to an in-memory scan (no page IO, same result).
-    """
-
-    def __init__(self, relation_name: str, predicates: Sequence[Predicate] = ()):
-        self.relation_name = relation_name
-        self.predicates = tuple(predicates)
-
-    def _evaluate(self, context: EvaluationContext) -> ConstraintRelation:
-        from .predicates import validate_predicates
-
-        relation = context.database.get(self.relation_name)
-        heap = context.heapfiles.get(self.relation_name)
-        pages: list | None = None
-        if heap is not None:
-            pages = [heap.read_page(i) for i in range(heap.page_count)]
-            tuples: Sequence = [t for page in pages for t in page]
-        else:
-            tuples = relation.tuples
-        if self.predicates:
-            validate_predicates(relation.schema, list(self.predicates))
-            result_tuples = None
-            if pages is not None:
-                # Columnar paged path: per-page summary blocks cached on
-                # the heap file; bypasses (returns None) when columnar is
-                # off or cannot reject anything.
-                result_tuples = operators.filter_pages_columnar(
-                    pages, self.predicates, heap
-                )
-            if result_tuples is None:
-                result_tuples = operators.filter_tuples(tuples, self.predicates)
-        else:
-            result_tuples = list(tuples)
-        result = ConstraintRelation(relation.schema, result_tuples)
-        context.metrics.count("seq_scan", len(result))
-        return result
-
-    def describe(self) -> str:
-        if self.predicates:
-            preds = ", ".join(str(p) for p in self.predicates)
-            return f"SeqScan({self.relation_name}; {preds})"
-        return f"SeqScan({self.relation_name})"
 
 
 class IndexScan(PlanNode):

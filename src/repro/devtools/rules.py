@@ -90,7 +90,6 @@ BLOCKING_CALL_PATTERNS: tuple[str, ...] = (
     "*.open_durable",
     "satisfiable",
     "full_solve",
-    "*.session.close",
     "*._executor.shutdown",
 )
 

@@ -122,11 +122,6 @@ class IndexStructureError(ReproError):
     the builtin :class:`IndexError`)."""
 
 
-#: Deprecated alias for :class:`IndexStructureError` (the pre-rename
-#: spelling); kept so existing ``except IndexError_`` code keeps working.
-IndexError_ = IndexStructureError
-
-
 class ResourceExhausted(ReproError):
     """A query exceeded one of its :class:`~repro.governor.Budget` limits.
 
@@ -171,5 +166,5 @@ class OutputLimitExceeded(ResourceExhausted):
 
 
 class IOBudgetExceeded(ResourceExhausted):
-    """The query performed more simulated IO (index node visits, heap
-    page reads) than its budget allows."""
+    """The query performed more simulated IO (R*-tree node visits) than
+    its budget allows."""

@@ -32,12 +32,9 @@ import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .._concurrency import ThreadLocalStack
+import numpy as _np
 
-try:  # numpy is an optional accelerator: without it the probe bypasses.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
+from .._concurrency import ThreadLocalStack
 
 if TYPE_CHECKING:
     from ..model.schema import Schema
@@ -56,11 +53,6 @@ EXEC_MODES = ("auto", "row", "columnar")
 #: Environment variable consulted by ``QuerySession(exec_mode=None)`` —
 #: lets CI flip a whole test run to columnar without touching call sites.
 EXEC_MODE_ENV_VAR = "REPRO_EXEC_MODE"
-
-
-def available() -> bool:
-    """Whether the vectorized kernels can run at all (numpy importable)."""
-    return _np is not None
 
 
 def default_exec_mode() -> str:
@@ -116,7 +108,7 @@ class SummaryBlock:
     unbounded sides, widened rounding — see the module docstring);
     ``inconsistent`` marks tuples whose own summary already proves them
     empty.  Blocks are immutable once built and cached on their owner
-    (relation, heapfile page) keyed by the variable tuple.
+    relation keyed by the variable tuple.
     """
 
     __slots__ = ("variables", "lower", "upper", "inconsistent")
@@ -158,8 +150,8 @@ def block_for(
 ) -> SummaryBlock:
     """The :class:`SummaryBlock` for ``tuples`` over ``variables``,
     memoised in ``cache`` (an owner-provided dict keyed by the variable
-    tuple) so repeated scans of an immutable relation or heapfile page
-    pay the export once."""
+    tuple) so repeated scans of an immutable relation pay the export
+    once."""
     if cache is None:
         return SummaryBlock.from_tuples(tuples, variables)
     block = cache.get(variables)
@@ -200,8 +192,6 @@ def selection_plan(predicates: Sequence[object], schema: "Schema") -> SelectionP
     left entirely to the exact fallback — ignoring them only makes the
     filter keep more candidates, never drop a survivor.
     """
-    if _np is None:
-        return None
     from ..constraints import LinearConstraint, solver
 
     relational = set(schema.relational_names)

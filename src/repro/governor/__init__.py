@@ -33,13 +33,11 @@ from .faultinject import (
     CrashingFile,
     FaultPlan,
     FaultyBufferPool,
-    FaultyHeapFile,
     FaultyWAL,
     RetryPolicy,
     SimulatedCrash,
     call_with_retries,
     corrupt_database_text,
-    scan_with_retries,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "CrashingFile",
     "FaultPlan",
     "FaultyBufferPool",
-    "FaultyHeapFile",
     "FaultyWAL",
     "ProducerGuard",
     "RetryPolicy",
@@ -58,5 +55,4 @@ __all__ = [
     "checkpoint",
     "corrupt_database_text",
     "current_budget",
-    "scan_with_retries",
 ]

@@ -11,8 +11,7 @@ A :class:`Budget` bounds one statement's consumption of five resources:
 * ``output_tuples`` — tuples materialized by plan operators
   (intermediate results included: the cap bounds work, not just the
   final answer);
-* ``io_accesses`` — simulated IO: R*-tree node visits and heap page
-  reads.
+* ``io_accesses`` — simulated IO: R*-tree node visits.
 
 Cancellation is *cooperative*: the engine's loops call the module-level
 :func:`checkpoint` / :func:`charge` helpers at their boundaries.  When no
@@ -229,7 +228,7 @@ class Budget:
 
     def charge_io(self, n: int = 1) -> None:
         """The IO charge, kept minimal: one add and one compare per
-        simulated disk access (R*-tree node visit / heap page read)."""
+        simulated disk access (one R*-tree node visit)."""
         consumed = self._consumed["io_accesses"] + n
         self._consumed["io_accesses"] = consumed
         limit = self._limits["io_accesses"]

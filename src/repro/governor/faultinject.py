@@ -3,11 +3,10 @@
 A :class:`FaultPlan` is a *seeded, reproducible* schedule of storage
 faults.  Wrappers apply it to each layer:
 
-* :class:`FaultyHeapFile` — heap page reads fail transiently
-  (:class:`~repro.errors.TransientStorageError`) or permanently as
-  corruption (:class:`~repro.errors.CorruptPageError`);
 * :class:`FaultyBufferPool` — page misses (simulated disk reads) fail
-  transiently; hits never fail (the page is already resident);
+  transiently (:class:`~repro.errors.TransientStorageError`) or
+  permanently as corruption (:class:`~repro.errors.CorruptPageError`);
+  hits never fail (the page is already resident);
 * :func:`corrupt_database_text` — flips bytes inside ``tuple`` lines of
   a serialized ``.cdb`` text, which the checksum layer of
   :mod:`repro.storage.serialization` must surface as a structured
@@ -33,16 +32,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from ..errors import CorruptPageError, StorageError, TransientStorageError
 from ..obs import STORAGE_FAULTS_INJECTED, STORAGE_RETRIES, record
 
 if TYPE_CHECKING:  # storage imports stay type-only: the storage layer
-    # itself imports the governor for IO charging, and a runtime import
-    # here would close that loop into a cycle.
+    # imports the governor through the constraint solver (budget
+    # charging), and a runtime import here would close that loop into a
+    # cycle.
     from ..storage.buffer_pool import BufferPool
-    from ..storage.heapfile import HeapFile
 
 T = TypeVar("T")
 
@@ -141,35 +140,6 @@ class FaultPlan:
 
 
 # -- layer wrappers ------------------------------------------------------------
-
-
-class FaultyHeapFile:
-    """A :class:`~repro.storage.HeapFile` whose page reads consult a
-    :class:`FaultPlan`.  Mirrors the heap file's read API; a faulted scan
-    raises mid-iteration, exactly like a real partial read."""
-
-    def __init__(self, heapfile: "HeapFile", plan: FaultPlan):
-        self._file = heapfile
-        self.plan = plan
-
-    @property
-    def page_count(self) -> int:
-        return self._file.page_count
-
-    @property
-    def stats(self):
-        return self._file.stats
-
-    def __len__(self) -> int:
-        return len(self._file)
-
-    def read_page(self, index: int) -> list:
-        self.plan.raise_for_next("heapfile", f"page {index}")
-        return self._file.read_page(index)
-
-    def scan(self) -> Iterator:
-        for index in range(self._file.page_count):
-            yield from self.read_page(index)
 
 
 class FaultyBufferPool:
@@ -366,22 +336,6 @@ def call_with_retries(operation: Callable[[], T], policy: RetryPolicy | None = N
     raise last
 
 
-def scan_with_retries(
-    heapfile: "FaultyHeapFile | HeapFile", policy: RetryPolicy | None = None
-) -> list:
-    """A full heap-file scan that retries each page read independently.
-
-    The unit of retry is the page: a transient fault on page *k* re-reads
-    page *k* only, never the pages already delivered, so the result is
-    exactly one copy of every tuple (or a structured :class:`StorageError`
-    once a page fails permanently)."""
-    read_page = getattr(heapfile, "read_page")
-    out: list = []
-    for index in range(heapfile.page_count):
-        out.extend(call_with_retries(lambda: read_page(index), policy))
-    return out
-
-
 __all__ = [
     "CORRUPT",
     "CRASH",
@@ -390,7 +344,6 @@ __all__ = [
     "CrashingFile",
     "FaultPlan",
     "FaultyBufferPool",
-    "FaultyHeapFile",
     "FaultyWAL",
     "RetryPolicy",
     "SimulatedCrash",
@@ -398,5 +351,4 @@ __all__ = [
     "TransientStorageError",
     "call_with_retries",
     "corrupt_database_text",
-    "scan_with_retries",
 ]

@@ -128,19 +128,6 @@ class ConstraintRelation:
         summary block can ever describe the appended tuples."""
         return ConstraintRelation(self._schema, (*self._tuples, *tuples), self._name)
 
-    def invalidate_columnar(self) -> None:
-        """Drop every cached columnar summary block for this relation.
-
-        Relations are immutable, so the cache normally never goes stale;
-        this is the explicit invalidation hook for code that rebuilds a
-        relation's backing state in place (heap-file append, WAL replay
-        into a live catalog) and must not let a reader pair old blocks
-        with new tuples.  Clearing (rather than replacing) the dict means
-        any consumer that already grabbed the cache object sees it
-        emptied too."""
-        if self._columnar:
-            self._columnar.clear()
-
     def with_truncated(self, truncated: bool = True) -> "ConstraintRelation":
         """The same relation with the ``truncated`` marker set."""
         relation = ConstraintRelation(self._schema, self._tuples, self._name)

@@ -88,8 +88,8 @@ SPATIAL_REFINE_PRUNES = "spatial.refine.prunes"
 
 #: Governor budget consumption, recorded only while a budget is active so
 #: ``EXPLAIN ANALYZE`` can label per-node charges.  The IO budget is
-#: deliberately *not* mirrored here: its charge sites (R*-tree node
-#: visits, heap page reads) are the hot path, and the existing
+#: deliberately *not* mirrored here: its charge site (R*-tree node
+#: visits) is the hot path, and the existing
 #: ``index.node_accesses.*`` counters already expose the same quantity.
 GOVERNOR_SOLVER_STEPS = "governor.charged.solver_steps"
 GOVERNOR_DNF_CLAUSES = "governor.charged.dnf_clauses"

@@ -42,11 +42,6 @@ from ..obs import (
 from ..rational import RationalLike, float_down, float_up, to_rational
 from .features import Feature, FeatureSet, box_mindist_sq
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
-
 
 def _query_mbr(feature: Feature, d) -> MBR:
     """The widened float query box: the exact bounding box expanded by
@@ -66,7 +61,7 @@ def _batched_dists_sq(feature_box, right: FeatureSet, candidates, d_sq: float):
     :func:`~repro.spatial.features.box_mindist_sq`, so the per-candidate
     prune decisions (and statistics) are unchanged — only the Python-level
     box arithmetic is batched away."""
-    if _np is None or not _cx.columnar_active() or len(candidates) < _cx.MIN_BATCH:
+    if not _cx.columnar_active() or len(candidates) < _cx.MIN_BATCH:
         return None
     rowmap, lowers, uppers = right.columnar_boxes()
     rows = [rowmap[fid] for fid in candidates]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping
 
+import numpy as _np
+
 from ..constraints import Conjunction
 from ..errors import GeometryError, SchemaError
 from ..exec import columnar as _cx
@@ -33,11 +35,6 @@ from ..obs import (
 from ..rational import float_down, float_up
 from .geometry import BoundingBox, Point
 from .polygon import ConvexPolygon
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
 
 #: A float axis-aligned box ``(min_x, min_y, max_x, max_y)`` — the
 #: interval summary of one convex part, precomputed for cheap pruning.
@@ -128,7 +125,7 @@ class Feature:
     def part_box_arrays(self):
         """The part boxes as cached ``(n, 2)`` lower/upper corner arrays —
         the columnar form the vectorized distance kernel broadcasts
-        against.  Requires numpy (callers gate on availability)."""
+        against."""
         arrays = self._part_arrays
         if arrays is None:
             boxes = _np.array(self.part_boxes(), dtype=float).reshape(-1, 4)
@@ -179,11 +176,7 @@ class Feature:
         identical prune decisions in the identical order — same return
         value, same prune counters.
         """
-        if (
-            _np is not None
-            and _cx.columnar_active()
-            and len(self.parts) * len(other.parts) >= _cx.MIN_BATCH
-        ):
+        if _cx.columnar_active() and len(self.parts) * len(other.parts) >= _cx.MIN_BATCH:
             return self._distance_columnar(other, cutoff)
         best = math.inf
         best_sq = math.inf
@@ -376,8 +369,7 @@ class FeatureSet:
         """The whole-feature float bounding boxes in columnar form:
         ``(fid -> row index, (n, 2) lower corners, (n, 2) upper corners)``,
         cached — Buffer-Join's batched candidate prune gathers candidate
-        rows from these arrays instead of touching each feature object.
-        Requires numpy (callers gate on availability)."""
+        rows from these arrays instead of touching each feature object."""
         cached = self._columnar_boxes
         if cached is None:
             fids = list(self._features)

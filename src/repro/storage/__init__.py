@@ -2,9 +2,8 @@
 
 Public surface:
 
-* :class:`PageConfig`, :class:`PageStatistics` — page sizing and counters.
+* :class:`PageConfig` — page sizing.
 * :class:`BufferPool` — LRU page cache with hit/miss statistics.
-* :class:`HeapFile` — paged unindexed relation storage (full-scan baseline).
 * :func:`save_database` / :func:`load_database` / :func:`dumps` /
   :func:`loads` — the ``.cdb`` text format.
 * :class:`WriteAheadLog` / :class:`DurableDatabase` / :func:`open_durable`
@@ -16,8 +15,7 @@ Public surface:
 """
 
 from .buffer_pool import BufferPool, BufferPoolStatistics
-from .heapfile import HeapFile
-from .pages import PageConfig, PageStatistics
+from .pages import PageConfig
 from .serialization import dumps, load_database, loads, save_database, serialize_tuple
 from .snapshot import DatabaseSnapshot, SnapshotManager
 from .wal import (
@@ -35,10 +33,8 @@ __all__ = [
     "BufferPoolStatistics",
     "DatabaseSnapshot",
     "DurableDatabase",
-    "HeapFile",
     "IngestTransaction",
     "PageConfig",
-    "PageStatistics",
     "RecoveryReport",
     "SnapshotManager",
     "WalRecord",

@@ -2,30 +2,14 @@
 
 The paper's Figures 4 and 5 report **disk accesses**.  Our substitute for
 the original Java testbed's disk is explicit accounting: a node of the
-R*-tree (or a heap-file page) is one disk page, and every visit counts as
-one access.  :class:`PageConfig` turns a byte page size into index fanout
-and heap-file rows per page, so experiments can sweep realistic page sizes.
+R*-tree is one disk page, and every visit counts as one access.
+:class:`PageConfig` turns a byte page size into index fanout, so
+experiments can sweep realistic page sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class PageStatistics:
-    """Read/write counters shared by a storage component."""
-
-    reads: int = 0
-    writes: int = 0
-
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -61,22 +45,3 @@ class PageConfig:
                 "R*-tree nodes need at least 4"
             )
         return fanout
-
-    def rows_per_page(self, row_size: int) -> int:
-        """Heap-file rows per page for a serialized row of ``row_size``
-        bytes (at least one row per page: oversized rows spill)."""
-        return max(1, self.page_size // max(1, row_size))
-
-
-@dataclass
-class PagedComponent:
-    """Base helper giving a storage component page-access accounting."""
-
-    config: PageConfig = field(default_factory=PageConfig)
-    stats: PageStatistics = field(default_factory=PageStatistics)
-
-    def record_read(self, pages: int = 1) -> None:
-        self.stats.reads += pages
-
-    def record_write(self, pages: int = 1) -> None:
-        self.stats.writes += pages

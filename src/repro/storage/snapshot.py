@@ -5,9 +5,9 @@ The catalog publication discipline (:mod:`repro.storage.wal` replaces the
 :class:`~repro.model.relation.ConstraintRelation` is immutable) means a
 reader that captures a catalog reference sees a frozen, internally
 consistent database for as long as it holds the reference — including
-every derived structure built over it: heap-file pages, columnar summary
-caches, R*-tree boxes, and index versions all hang off the pinned
-relation objects.
+every derived structure built over it: columnar summary caches,
+R*-tree boxes, and index versions all hang off the pinned relation
+objects.
 
 :class:`DatabaseSnapshot` makes that capture explicit and *observable*:
 a version number for the swap protocol and a pin count so the server can

@@ -1,8 +1,6 @@
 """Deterministic storage fault injection: failures are structured, bounded
 retries recover transients, corruption is caught — and nothing hangs."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.constraints import Conjunction, le
@@ -11,18 +9,15 @@ from repro.errors import CorruptPageError, StorageError, TransientStorageError
 from repro.governor import (
     FaultPlan,
     FaultyBufferPool,
-    FaultyHeapFile,
     RetryPolicy,
     call_with_retries,
     corrupt_database_text,
-    scan_with_retries,
 )
 from repro.model.database import Database
 from repro.model.relation import ConstraintRelation
 from repro.model.schema import Schema, constraint, relational
 from repro.model.tuples import HTuple
-from repro.storage import BufferPool, HeapFile, dumps, loads
-from repro.storage.pages import PageConfig
+from repro.storage import BufferPool, dumps, loads
 
 
 def _relation(rows: int = 40) -> ConstraintRelation:
@@ -33,11 +28,6 @@ def _relation(rows: int = 40) -> ConstraintRelation:
         for i in range(rows)
     ]
     return ConstraintRelation(schema, tuples, "R")
-
-
-@pytest.fixture
-def heapfile() -> HeapFile:
-    return HeapFile(_relation(), PageConfig(page_size=512))
 
 
 class TestFaultPlanDeterminism:
@@ -79,28 +69,6 @@ class TestFaultPlanDeterminism:
             FaultPlan(fail_ops={0: "meltdown"})
 
 
-class TestFaultyHeapFile:
-    def test_scan_raises_mid_iteration(self, heapfile):
-        assert heapfile.page_count > 2
-        plan = FaultPlan(fail_ops={1: "transient"})
-        faulty = FaultyHeapFile(heapfile, plan)
-        seen = []
-        with pytest.raises(TransientStorageError):
-            for t in faulty.scan():
-                seen.append(t)
-        # Page 0 was delivered before the fault on page 1.
-        assert 0 < len(seen) < len(heapfile)
-
-    def test_corruption_is_permanent_storage_error(self, heapfile):
-        faulty = FaultyHeapFile(heapfile, FaultPlan(fail_ops={0: "corrupt"}))
-        with pytest.raises(CorruptPageError):
-            faulty.read_page(0)
-
-    def test_fault_free_scan_matches_plain_scan(self, heapfile):
-        faulty = FaultyHeapFile(heapfile, FaultPlan())
-        assert list(faulty.scan()) == list(heapfile.scan())
-
-
 class TestFaultyBufferPool:
     def test_hits_never_fault(self):
         pool = BufferPool(capacity=8)
@@ -112,13 +80,14 @@ class TestFaultyBufferPool:
 
 
 class TestRetries:
-    def test_transient_then_success(self, heapfile):
+    def test_transient_then_success(self):
         plan = FaultPlan(fail_ops={0: "transient", 1: "transient"})
-        faulty = FaultyHeapFile(heapfile, plan)
+        pool = BufferPool(capacity=8)
+        faulty = FaultyBufferPool(pool, plan)
         delays: list[float] = []
         policy = RetryPolicy(attempts=3, base_delay=0.01, sleep=delays.append)
-        page = call_with_retries(lambda: faulty.read_page(0), policy)
-        assert page == heapfile.read_page(0)
+        hit = call_with_retries(lambda: faulty.access("p0"), policy)
+        assert hit is False and "p0" in pool  # the third try read the page in
         assert delays == [0.01, 0.02]  # exponential backoff, sleep injected
 
     def test_backoff_is_capped(self):
@@ -138,22 +107,12 @@ class TestRetries:
             call_with_retries(always_failing, policy)
         assert len(calls) == 3  # bounded: no infinite retry loop
 
-    def test_corruption_not_retried(self, heapfile):
+    def test_corruption_not_retried(self):
         plan = FaultPlan(fail_ops={0: "corrupt"})
-        faulty = FaultyHeapFile(heapfile, plan)
+        faulty = FaultyBufferPool(BufferPool(capacity=8), plan)
         with pytest.raises(CorruptPageError):
-            call_with_retries(lambda: faulty.read_page(0), RetryPolicy(sleep=lambda _: None))
+            call_with_retries(lambda: faulty.access("p0"), RetryPolicy(sleep=lambda _: None))
         assert plan.operations == 1  # a permanent fault gets exactly one try
-
-    def test_scan_with_retries_delivers_each_tuple_once(self, heapfile):
-        # Ops 0 and 2 fault: the first read of page 0 and its retry's
-        # successor (the first read of page 1) — both recover on retry.
-        plan = FaultPlan(fail_ops={0: "transient", 2: "transient"})
-        faulty = FaultyHeapFile(heapfile, plan)
-        policy = RetryPolicy(attempts=3, sleep=lambda _: None)
-        tuples = scan_with_retries(faulty, policy)
-        assert tuples == list(heapfile.scan())
-        assert plan.injected_transients == 2  # the run actually saw faults
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

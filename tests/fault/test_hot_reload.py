@@ -20,6 +20,8 @@ from repro.server.harness import ServerThread
 from repro.storage.wal import atomic_write_text, open_durable
 
 CLIENTS = 8
+#: Each reader's minimum; readers keep querying until every reload is
+#: done, so no reader can finish before the first swap publishes ``v2``.
 QUERIES_PER_CLIENT = 30
 RELOADS = 12
 
@@ -60,9 +62,9 @@ def test_reload_under_concurrent_clients_serves_no_torn_reads(tmp_path):
         def reader(n: int) -> None:
             try:
                 with harness.client(tenant=f"reader-{n}") as client:
-                    for _ in range(QUERIES_PER_CLIENT):
-                        if stop.is_set():
-                            break
+                    done = 0
+                    while done < QUERIES_PER_CLIENT or not stop.is_set():
+                        done += 1
                         reply = client.query("X = select x >= 0 from R", limit=50)
                         if not reply.get("ok"):
                             with lock:

@@ -12,22 +12,18 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import SeqScan, evaluate
 from repro.algebra.operators import select
-from repro.algebra.plan import EvaluationContext
 from repro.constraints import parse_constraints
 from repro.errors import ResourceExhausted
 from repro.exec import columnar_mode
 from repro.governor import Budget
 from repro.model.database import Database
-from repro.obs import MetricsRegistry
 from repro.query import QuerySession
 from repro.spatial.buffer_join import buffer_join
 from repro.spatial.features import Feature, FeatureSet
 from repro.spatial.geometry import Point
 from repro.spatial.k_nearest import k_nearest
 from repro.spatial.polygon import ConvexPolygon
-from repro.storage.heapfile import HeapFile
 from repro.workloads import build_constraint_relation, generate_data
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -136,51 +132,6 @@ class TestSelectIdentical:
         assert row_failure == col_failure
         if row_result is not None:
             _relations_identical(row_result, col_result)
-
-
-class TestSeqScanIdentical:
-    def _context(self):
-        relation = build_constraint_relation(generate_data(80, seed=9)).with_name("boxes")
-        database = Database({"boxes": relation})
-        return EvaluationContext(
-            database, registry=MetricsRegistry(), heapfiles={"boxes": HeapFile(relation)}
-        )
-
-    @SETTINGS
-    @given(lo=st.integers(0, 400), width=st.integers(50, 600))
-    def test_paged_columnar_scan_identical(self, lo, width):
-        preds = tuple(
-            parse_constraints(f"x >= {lo}, x <= {lo + width}, y >= {lo}, y <= {lo + width}")
-        )
-        row = evaluate(SeqScan("boxes", preds), self._context())
-        with columnar_mode():
-            col = evaluate(SeqScan("boxes", preds), self._context())
-        _relations_identical(row, col)
-
-    def test_page_io_charges_identical(self):
-        preds = tuple(parse_constraints("x >= 100, x <= 600"))
-
-        def run(columnar_on):
-            context = self._context()
-            budget = Budget(io_accesses=10**6)
-            with columnar_mode(columnar_on), budget.activate():
-                result = evaluate(SeqScan("boxes", preds), context)
-            return result, budget.consumed["io_accesses"]
-
-        row, row_io = run(False)
-        col, col_io = run(True)
-        _relations_identical(row, col)
-        assert row_io == col_io
-
-    def test_truncation_point_identical(self):
-        preds = tuple(parse_constraints("x >= 0, x <= 900"))
-        for cap in (1, 5, 17):
-            def run(columnar_on):
-                budget = Budget(output_tuples=cap, on_exhausted="partial")
-                with columnar_mode(columnar_on), budget.activate():
-                    return evaluate(SeqScan("boxes", preds), self._context())
-
-            _relations_identical(run(False), run(True))
 
 
 class TestSpatialIdentical:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.devtools import RT_CODE_CATALOG, Baseline, lint_paths
 from repro.devtools.linter import lint_file
 
@@ -67,8 +65,8 @@ def test_rt101_silent_on_corrected_twin(tmp_path):
 
 def test_rt101_matches_method_tails(tmp_path):
     source = """
-        async def drain(tenant):
-            tenant.session.close()
+        async def drain(self):
+            self._executor.shutdown()
     """
     assert codes(lint_source(tmp_path, source)) == ["RT101"]
 

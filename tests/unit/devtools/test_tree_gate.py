@@ -34,5 +34,4 @@ def test_annotation_registries_are_present():
 
     assert module_has(SRC_REPRO / "storage" / "snapshot.py", "__lock_registry__")
     assert module_has(SRC_REPRO / "constraints" / "cache.py", "__lock_registry__")
-    assert module_has(SRC_REPRO / "storage" / "heapfile.py", "__cache_registry__")
     assert module_has(SRC_REPRO / "indexing" / "rstar.py", "__cache_registry__")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import IndexStructureError
 from repro.indexing import WorkloadQuery, estimate_query_cost, recommend_grouping
 
 
@@ -12,11 +12,11 @@ def q(attrs, frequency=1.0, selectivity=0.1):
 
 class TestWorkloadQuery:
     def test_validation(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             WorkloadQuery(frozenset())
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             q(["x"], selectivity=0)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             q(["x"], frequency=0)
 
 
@@ -74,11 +74,11 @@ class TestRecommendation:
         assert all(rec.estimated_cost <= cost for cost in costs)
 
     def test_validation(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             recommend_grouping([], [q(["x"])], 100)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             recommend_grouping(["x"], [], 100)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             recommend_grouping(["x"], [q(["zzz"])], 100)
 
     def test_str(self):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import IndexStructureError
 from repro.indexing import MBR, RStarTree
 from repro.indexing.bulk import str_bulk_load, str_bulk_load_relation
 from repro.workloads import rectangles
@@ -60,11 +60,11 @@ class TestStrBulkLoad:
         assert sorted(tree.search(MBR((10.0,), (12.0,)))) == [9, 10, 11, 12]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             str_bulk_load([(MBR((0.0,), (1.0,)), 0)], dimensions=2)
 
     def test_fill_factor_validation(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             str_bulk_load([], dimensions=2, fill_factor=0.1)
 
     def test_nearest_works_on_packed_tree(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import IndexStructureError
 from repro.indexing import MBR
 
 
@@ -12,15 +12,15 @@ class TestConstruction:
         assert p.mins == p.maxs == (1.0, 2.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             MBR((2.0,), (1.0,))
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             MBR((0.0,), (1.0, 2.0))
 
     def test_zero_dims_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             MBR((), ())
 
     def test_union_all(self):
@@ -29,7 +29,7 @@ class TestConstruction:
         assert u.maxs == (3.0, 1.0)
 
     def test_union_all_empty_rejected(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             MBR.union_all([])
 
 

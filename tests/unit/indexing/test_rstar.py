@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import IndexStructureError
 from repro.indexing import MBR, RStarTree
 
 
@@ -28,13 +28,13 @@ def build(count: int = 400, **kwargs) -> tuple[RStarTree, list[tuple[MBR, int]]]
 
 class TestConstruction:
     def test_parameter_validation(self):
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             RStarTree(dimensions=0)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             RStarTree(dimensions=2, max_entries=3)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             RStarTree(dimensions=2, max_entries=8, min_entries=1)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             RStarTree(dimensions=2, max_entries=8, min_entries=5)
 
     def test_default_min_entries_is_forty_percent(self):
@@ -42,7 +42,7 @@ class TestConstruction:
 
     def test_dimension_check_on_insert(self):
         tree = RStarTree(dimensions=2)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             tree.insert(MBR((0.0,), (1.0,)), 1)
 
 
@@ -112,7 +112,7 @@ class TestNearest:
 
     def test_nearest_invalid_k(self):
         tree, _ = build(10)
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             tree.nearest(MBR.point((0.0, 0.0)), k=0)
 
     def test_nearest_iter_is_sorted_and_complete(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints import parse_constraints
-from repro.errors import IndexError_, SchemaError
+from repro.errors import IndexStructureError, SchemaError
 from repro.indexing import (
     JointIndex,
     NULL_SENTINEL,
@@ -136,9 +136,9 @@ class TestStrategyCorrectness:
 
     def test_duplicate_attributes_rejected(self, workload):
         _, relation = workload
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             JointIndex(relation, ["x", "x"])
-        with pytest.raises(IndexError_):
+        with pytest.raises(IndexStructureError):
             SeparateIndexes(relation, [])
 
 

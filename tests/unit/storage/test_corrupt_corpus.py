@@ -1,4 +1,4 @@
-"""A corpus of malformed ``.cdb`` files and heap-file abuse.
+"""A corpus of malformed ``.cdb`` files.
 
 Load hardening contract: a file with a valid header but a damaged body
 must fail with a *typed* :class:`~repro.errors.CorruptPageError` that
@@ -8,12 +8,8 @@ names the damaged relation or page — never an ``IndexError``,
 
 import pytest
 
-from repro.errors import CorruptPageError, StorageError
-from repro.model.relation import ConstraintRelation
-from repro.model.schema import Attribute, Schema
-from repro.model.tuples import point_tuple
-from repro.model.types import AttributeKind, DataType
-from repro.storage import HeapFile, load_database, loads
+from repro.errors import CorruptPageError
+from repro.storage import load_database, loads
 
 VALID = """# CQA/CDB database file
 relation Land
@@ -73,33 +69,3 @@ class TestBitRot:
     def test_checksummed_roundtrip_still_loads(self):
         database = loads(valid_text())
         assert len(database["Land"]) == 2
-
-
-class TestHeapFilePages:
-    def make_heap(self) -> HeapFile:
-        schema = Schema(
-            [
-                Attribute("id", DataType.STRING, AttributeKind.RELATIONAL),
-                Attribute("x", DataType.RATIONAL, AttributeKind.CONSTRAINT),
-            ]
-        )
-        relation = ConstraintRelation(
-            schema, [point_tuple(schema, {"id": f"t{i}", "x": i}) for i in range(5)], "R"
-        )
-        return HeapFile(relation)
-
-    def test_page_past_end_is_typed_and_named(self):
-        heap = self.make_heap()
-        with pytest.raises(CorruptPageError, match=r"page 99 out of range.*R has \d+ page"):
-            heap.read_page(99)
-
-    def test_negative_page_is_typed(self):
-        heap = self.make_heap()
-        with pytest.raises(CorruptPageError, match="out of range"):
-            heap.read_page(-1)
-
-    def test_corruption_is_a_storage_error(self):
-        # The taxonomy: callers catching StorageError see corruption too.
-        heap = self.make_heap()
-        with pytest.raises(StorageError):
-            heap.read_page(99)

@@ -1,9 +1,9 @@
-"""Unit tests for pages, buffer pool and heap files."""
+"""Unit tests for page sizing and the buffer pool."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import BufferPool, HeapFile, PageConfig, PageStatistics
+from repro.storage import BufferPool, PageConfig
 
 
 class TestPageConfig:
@@ -20,17 +20,6 @@ class TestPageConfig:
     def test_fanout_too_small_rejected(self):
         with pytest.raises(ValueError):
             PageConfig(page_size=128).index_fanout(10)
-
-    def test_rows_per_page(self):
-        config = PageConfig(page_size=4096)
-        assert config.rows_per_page(100) == 40
-        assert config.rows_per_page(10_000) == 1  # oversized rows spill
-
-    def test_statistics_reset(self):
-        stats = PageStatistics(reads=3, writes=2)
-        assert stats.total == 5
-        stats.reset()
-        assert stats.total == 0
 
 
 class TestBufferPool:
@@ -69,43 +58,3 @@ class TestBufferPool:
         pool.access("a")
         pool.clear()
         assert len(pool) == 0
-
-
-class TestHeapFile:
-    def make_relation(self, rows: int):
-        from repro.constraints import parse_constraints
-        from repro.model import ConstraintRelation, HTuple, Schema, constraint, relational
-
-        schema = Schema([relational("id"), constraint("t")])
-        return ConstraintRelation(
-            schema,
-            [
-                HTuple(schema, {"id": f"row{i}"}, parse_constraints(f"{i} <= t, t <= {i + 1}"))
-                for i in range(rows)
-            ],
-        )
-
-    def test_scan_reads_each_page_once(self):
-        relation = self.make_relation(200)
-        heap = HeapFile(relation, PageConfig(page_size=512))
-        assert heap.page_count > 1
-        scanned = list(heap.scan())
-        assert len(scanned) == 200
-        assert heap.stats.reads == heap.page_count
-
-    def test_bigger_pages_fewer_reads(self):
-        relation = self.make_relation(200)
-        small = HeapFile(relation, PageConfig(page_size=512))
-        large = HeapFile(relation, PageConfig(page_size=8192))
-        assert large.page_count < small.page_count
-
-    def test_read_page(self):
-        relation = self.make_relation(50)
-        heap = HeapFile(relation, PageConfig(page_size=512))
-        first = heap.read_page(0)
-        assert first and heap.stats.reads == 1
-
-    def test_empty_relation(self):
-        heap = HeapFile(self.make_relation(0))
-        assert heap.page_count == 0
-        assert list(heap.scan()) == []

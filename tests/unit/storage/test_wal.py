@@ -1,7 +1,6 @@
 """Unit tests for the write-ahead log and the durable database."""
 
 import os
-import zlib
 
 import pytest
 

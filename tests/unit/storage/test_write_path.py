@@ -1,12 +1,18 @@
-"""Unit tests for the mutation path: heap-file append and cache
-invalidation (the stale-summary-block regression suite)."""
+"""Unit tests for the mutation path: relation append, its columnar
+cache, and columnar selection across WAL commits and recovery (the
+stale-summary-block regression suite)."""
 
+from repro.constraints import parse_constraints
+from repro.exec import columnar
 from repro.exec.columnar import block_for
+from repro.model.database import Database
 from repro.model.relation import ConstraintRelation
 from repro.model.schema import Attribute, Schema
-from repro.model.tuples import point_tuple
+from repro.model.tuples import HTuple, point_tuple
 from repro.model.types import AttributeKind, DataType
-from repro.storage import HeapFile, PageConfig
+from repro.obs import COLUMNAR_BATCHES
+from repro.query import QuerySession
+from repro.storage import open_durable, save_database
 
 
 def make_schema():
@@ -22,83 +28,9 @@ def tuples_for(schema, ids):
     return [point_tuple(schema, {"id": i, "x": n}) for n, i in enumerate(ids)]
 
 
-class TestHeapFileAppend:
-    def test_append_extends_relation_and_pages(self):
-        schema = make_schema()
-        heap = HeapFile(ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"))
-        before_pages = heap.page_count
-        heap.append(tuples_for(schema, ["b", "c"]))
-        assert len(heap) == 3
-        assert heap.page_count >= before_pages
-        assert sorted(t.values["id"] for t in heap.scan()) == ["a", "b", "c"]
-
-    def test_append_packs_tail_page_first(self):
-        schema = make_schema()
-        heap = HeapFile(
-            ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"),
-            PageConfig(page_size=4096),
-        )
-        assert heap.page_count == 1
-        written = heap.append(tuples_for(schema, ["b"]))
-        assert written == 1  # reused the tail page
-        assert heap.page_count == 1
-
-    def test_append_spills_to_new_pages(self):
-        schema = make_schema()
-        heap = HeapFile(
-            ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"),
-            PageConfig(page_size=256),
-        )
-        heap.append(tuples_for(schema, [f"t{i}" for i in range(40)]))
-        assert heap.page_count > 1
-        assert len(heap) == 41
-
-    def test_append_counts_writes(self):
-        schema = make_schema()
-        heap = HeapFile(ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"))
-        assert heap.stats.writes == 0
-        heap.append(tuples_for(schema, ["b"]))
-        assert heap.stats.writes >= 1
-
-    def test_empty_append_is_noop(self):
-        schema = make_schema()
-        heap = HeapFile(ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"))
-        relation = heap.relation
-        assert heap.append([]) == 0
-        assert heap.relation is relation
-
-
 class TestStaleCacheRegression:
-    """The bug class the invalidation API exists for: a columnar summary
-    block built before a write must never describe post-write tuples."""
-
-    def test_page_cache_invalidated_on_append(self):
-        schema = make_schema()
-        heap = HeapFile(
-            ConstraintRelation(schema, tuples_for(schema, ["a"]), "R"),
-            PageConfig(page_size=4096),
-        )
-        page = heap.read_page(0)
-        cache = heap.page_cache(0)
-        block = block_for(page, ("x",), cache)
-        assert ("x",) in cache and len(block) == 1
-        heap.append(tuples_for(schema, ["b"]))  # mutates page 0 in place
-        fresh_cache = heap.page_cache(0)
-        assert ("x",) not in fresh_cache  # stale block dropped
-        fresh_page = heap.read_page(0)
-        fresh_block = block_for(fresh_page, ("x",), fresh_cache)
-        assert len(fresh_block) == len(fresh_page) == 2
-
-    def test_invalidate_all_pages(self):
-        schema = make_schema()
-        heap = HeapFile(
-            ConstraintRelation(schema, tuples_for(schema, [f"t{i}" for i in range(40)]), "R"),
-            PageConfig(page_size=256),
-        )
-        for index in range(heap.page_count):
-            block_for(heap.read_page(index), ("x",), heap.page_cache(index))
-        heap.invalidate_page_cache()
-        assert all(("x",) not in heap.page_cache(i) for i in range(heap.page_count))
+    """A columnar summary block built before a write must never describe
+    post-write tuples: a write builds a new relation with an empty cache."""
 
     def test_relation_extended_gets_fresh_columnar_cache(self):
         schema = make_schema()
@@ -112,18 +44,67 @@ class TestStaleCacheRegression:
         grown_block = block_for(grown.tuples, ("x",), grown.columnar_cache())
         assert len(grown_block) == 2
 
-    def test_invalidate_columnar_clears_in_place(self):
-        schema = make_schema()
-        relation = ConstraintRelation(schema, tuples_for(schema, ["a"]), "R")
-        cache = relation.columnar_cache()
-        block_for(relation.tuples, ("x",), cache)
-        assert cache
-        relation.invalidate_columnar()
-        # A consumer holding the dict sees it emptied, not replaced.
-        assert cache == {} and relation.columnar_cache() is cache
-
     def test_extended_applies_set_semantics(self):
         schema = make_schema()
         relation = ConstraintRelation(schema, tuples_for(schema, ["a"]), "R")
         grown = relation.extended(tuples_for(schema, ["a"]))  # duplicate
         assert len(grown) == 1
+
+
+class TestColumnarAcrossWal:
+    """A columnar select warms the base relation's summary-block cache;
+    a committed WAL append and a recovery replay must both be visible to
+    later columnar selects, with results equal to the row path."""
+
+    QUERY = "hits = select x >= 20, x <= 200 from boxes"
+
+    @staticmethod
+    def boxes(prefix, lows):
+        schema = Schema(
+            [
+                Attribute("id", DataType.STRING, AttributeKind.RELATIONAL),
+                Attribute("x", DataType.RATIONAL, AttributeKind.CONSTRAINT),
+                Attribute("y", DataType.RATIONAL, AttributeKind.CONSTRAINT),
+            ]
+        )
+        return [
+            HTuple(
+                schema,
+                {"id": f"{prefix}{i}"},
+                parse_constraints(f"{lo} <= x, x <= {lo + 2}, 0 <= y, y <= 10"),
+            )
+            for i, lo in enumerate(lows)
+        ]
+
+    def select(self, database, exec_mode):
+        with QuerySession(database, exec_mode=exec_mode) as session:
+            result = session.execute(self.QUERY)
+            batches = session.registry.value(COLUMNAR_BATCHES)
+        return result, batches
+
+    def check(self, database, new_ids):
+        result, batches = self.select(database, "columnar")
+        row, _ = self.select(database, "row")
+        assert new_ids <= {t.values["id"] for t in result}
+        assert list(result.tuples) == list(row.tuples)
+        assert batches > 0
+
+    def test_append_and_recovery_seen_by_columnar_select(self, tmp_path):
+        base = self.boxes("b", range(0, 80, 2))
+        assert len(base) >= columnar.MIN_BATCH
+        path = tmp_path / "boxes.cdb"
+        save_database(
+            Database({"boxes": ConstraintRelation(base[0].schema, base, "boxes")}), path
+        )
+        appended = self.boxes("new", range(100, 105))
+        new_ids = {t.values["id"] for t in appended}
+        with open_durable(path, fsync=False) as durable:
+            warm, batches = self.select(durable.database, "columnar")
+            assert batches > 0 and durable.database["boxes"].columnar_cache()
+            assert not new_ids & {t.values["id"] for t in warm}
+            with durable.begin() as txn:
+                txn.append_tuples("boxes", appended)
+            self.check(durable.database, new_ids)
+        with open_durable(path, fsync=False) as recovered:
+            assert recovered.recovery.replayed_records == 1
+            self.check(recovered.database, new_ids)

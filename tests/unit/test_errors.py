@@ -9,7 +9,6 @@ from repro.errors import (
     DeadlineExceeded,
     DNFBudgetExceeded,
     GeometryError,
-    IndexError_,
     IndexStructureError,
     IOBudgetExceeded,
     NonLinearError,
@@ -57,11 +56,6 @@ class TestHierarchy:
 
     def test_index_error_does_not_shadow_builtin(self):
         assert not issubclass(IndexStructureError, IndexError)
-
-    def test_deprecated_alias_still_works(self):
-        # IndexError_ predates IndexStructureError; existing except clauses
-        # must keep catching the same class.
-        assert IndexError_ is IndexStructureError
 
     @pytest.mark.parametrize(
         "exc_type",
